@@ -4,19 +4,19 @@ An AST-based rule suite that enforces the invariants the type system
 cannot see: unit-suffix naming (RPR001), cache-key determinism
 (RPR002), process-pool picklability (RPR003), no raw float equality
 (RPR004), single-spelling paper constants (RPR005), and no broad
-excepts (RPR006).  Run it as ``python -m repro analyze``; accepted debt
-lives in a committed baseline file with a two-sided ratchet.
+excepts (RPR006), plus the unit-dataflow (RPR1xx), concurrency (RPR2xx)
+and numeric-safety (RPR3xx) families.  Run it as ``python -m repro
+analyze``; every unsuppressed finding fails the run.
 
 Library entry points::
 
-    from repro.analysis import Analyzer, Baseline
+    from repro.analysis import Analyzer
 
     result = Analyzer(root=".").analyze_paths(["src", "tests"])
     for finding in result.findings:
         print(finding.render())
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.emitters import to_json, to_sarif, to_text
 from repro.analysis.engine import Analyzer, FileContext
 from repro.analysis.findings import AnalysisResult, Finding, Severity
@@ -34,7 +34,6 @@ __all__ = [
     "AnalysisError",
     "AnalysisResult",
     "Analyzer",
-    "Baseline",
     "FileContext",
     "Finding",
     "Rule",

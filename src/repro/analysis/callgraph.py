@@ -41,8 +41,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis.imports import tree_nodes
+
 #: Bump when the harvest payload shape or the resolution semantics
-#: change; part of the incremental driver's call-graph-pass cache key.
+#: change; part of the analyzer's call-graph-pass cache key.
 CALLGRAPH_VERSION = 1
 
 #: Container constructors that produce known non-thread-safe mutable
@@ -130,7 +132,7 @@ def _import_aliases(tree: ast.Module, module: str | None) -> dict[str, str]:
     """Local name -> fully dotted target for every import in the file."""
     package_parts = module.split(".")[:-1] if module else []
     out: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in tree_nodes(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]

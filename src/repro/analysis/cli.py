@@ -2,11 +2,11 @@
 
 Exit codes follow the usual analyzer contract:
 
-- ``0`` — clean: no unbaselined findings, no stale baseline entries;
-- ``1`` — findings (or a stale baseline that must ratchet down);
-- ``2`` — usage error (unknown rule id, unreadable baseline, bad args).
+- ``0`` — clean: no unsuppressed findings;
+- ``1`` — findings;
+- ``2`` — usage error (unknown rule id, missing path, bad args).
 
-Defaults (paths and baseline location) can be configured in
+Defaults (``paths`` and ``cache_dir``) can be configured in
 ``pyproject.toml`` under ``[tool.repro.analysis]``; command-line
 arguments win over configuration.
 """
@@ -19,10 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.baseline import DEFAULT_BASELINE, Baseline
 from repro.analysis.emitters import to_json, to_sarif, to_text
-from repro.analysis.engine import Analyzer
-from repro.analysis.incremental import DEFAULT_CACHE_DIR
+from repro.analysis.engine import DEFAULT_CACHE_DIR, Analyzer
 from repro.analysis.registry import (
     AnalysisError,
     all_rules,
@@ -68,14 +66,6 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
                    default="text", help="output format (default text)")
     p.add_argument("--output", default=None,
                    help="write the report to this file instead of stdout")
-    p.add_argument("--baseline", default=None,
-                   help=f"baseline file (default {DEFAULT_BASELINE} when it "
-                        "exists)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline file")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline to exactly the current "
-                        "findings (the ratchet click)")
     p.add_argument("--select", default=None,
                    help="comma-separated rule ids to run (default: all)")
     p.add_argument("--ignore", default=None,
@@ -90,17 +80,11 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
                    help="print one rule's rationale, example, and "
                         "suppression syntax, then exit")
     p.add_argument("--verbose", action="store_true",
-                   help="also show baselined (accepted) findings")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for cold analysis (default: all "
-                        "cores; 1 = serial)")
+                   help="also list suppressed findings")
     p.add_argument("--cache-dir", default=None,
-                   help="incremental result-cache directory (default "
+                   help="result-cache directory (default "
                         f"{DEFAULT_CACHE_DIR}, or [tool.repro.analysis]"
                         ".cache_dir)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the incremental cache and analyze "
-                        "everything in-process")
     p.add_argument("--stats", action="store_true",
                    help="print cache and timing statistics to stderr")
     p.add_argument("--stats-json", default=None, metavar="FILE",
@@ -110,8 +94,8 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
                    help="report findings only for files changed vs git "
                         "HEAD (plus untracked); the whole tree is still "
                         "analyzed so project-wide passes stay correct, "
-                        "but unchanged-file findings and stale-baseline "
-                        "gating are skipped (pre-commit mode)")
+                        "but findings in unchanged files are not "
+                        "reported (pre-commit mode)")
     p.set_defaults(func=run_analyze)
 
 
@@ -179,11 +163,9 @@ def run_analyze(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    cache_dir: Path | None = None
-    if not args.no_cache:
-        cache_dir = root / (
-            args.cache_dir or config.get("cache_dir") or DEFAULT_CACHE_DIR
-        )
+    cache_dir = root / (
+        args.cache_dir or config.get("cache_dir") or DEFAULT_CACHE_DIR
+    )
 
     report_only: set[str] | None = None
     if args.changed:
@@ -213,7 +195,6 @@ def run_analyze(args: argparse.Namespace) -> int:
             select=select,
             ignore=_split_ids(args.ignore),
             cache_dir=cache_dir,
-            workers=args.jobs,
             report_only=report_only,
         )
         result = analyzer.analyze_paths(paths)
@@ -222,41 +203,12 @@ def run_analyze(args: argparse.Namespace) -> int:
         return 2
     duration_s = time.monotonic() - started
 
-    baseline_path = Path(
-        args.baseline or config.get("baseline") or DEFAULT_BASELINE
-    )
-    baseline: Baseline | None = None
-    if args.update_baseline:
-        Baseline.from_findings(result.findings).write(baseline_path)
-        print(
-            f"baseline updated: {len(result.findings)} finding(s) recorded "
-            f"in {baseline_path}",
-            file=sys.stderr,
-        )
-        result.baselined = result.findings
-        result.findings = []
-        result.stale_baseline = []
-    elif not args.no_baseline and (args.baseline or baseline_path.is_file()):
-        try:
-            baseline = Baseline.load(baseline_path)
-        except AnalysisError as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
-            return 2
-        baseline.partition(result)
-        if args.changed:
-            # A diff-scoped run sees only a slice of the findings, so
-            # unmatched baseline entries prove nothing about staleness.
-            result.stale_baseline = []
-
     if args.format == "json":
         report = json.dumps(to_json(result), indent=2)
     elif args.format == "sarif":
         report = json.dumps(to_sarif(result, analyzer.rules), indent=2)
     else:
         report = to_text(result, verbose=args.verbose)
-        if baseline is not None and result.stale_baseline:
-            stale = baseline.describe_stale(result.stale_baseline)
-            report += "\n" + "\n".join(f"  stale: {line}" for line in stale)
 
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
@@ -265,31 +217,28 @@ def run_analyze(args: argparse.Namespace) -> int:
         print(report)
 
     stats = dict(result.stats)
-    files = stats.get("files", result.files_scanned) or 0
+    files = stats["files"]
     if args.stats:
         line = (
-            f"analyze: {stats.get('driver', '?')} driver, "
-            f"{files} file(s), "
-            f"{stats.get('analyzed', '?')} analyzed, "
-            f"{stats.get('cached', 0)} cached, "
+            f"analyze: {files} file(s), "
+            f"{stats['parsed']} parsed, "
+            f"{stats['analyzed']} analyzed, "
+            f"{stats['cached']} cached, "
             f"{duration_s:.2f}s"
+            f" (harvest: {stats['harvest_hits']} hit(s), "
+            f"{stats['harvest_misses']} miss(es))"
         )
-        if "harvest_hits" in stats:
-            line += (
-                f" (harvest: {stats['harvest_hits']} hit(s), "
-                f"{stats['harvest_misses']} miss(es))"
-            )
         if duration_s > 0:
             line += f", {files / duration_s:.1f} files/s"
-        if stats.get("callgraph_rules"):
+        if stats["callgraph_rules"]:
             line += (
-                f" [callgraph: {stats.get('callgraph_pass', '?')} in "
-                f"{stats.get('callgraph_pass_s', 0.0):.3f}s]"
+                f" [callgraph: {stats['callgraph_pass']} in "
+                f"{stats['callgraph_pass_s']:.3f}s]"
             )
-        if stats.get("range_rules"):
+        if stats["range_rules"]:
             line += (
-                f" [range: {stats.get('range_pass', '?')} in "
-                f"{stats.get('range_pass_s', 0.0):.3f}s]"
+                f" [range: {stats['range_pass']} in "
+                f"{stats['range_pass_s']:.3f}s]"
             )
         print(line, file=sys.stderr)
 

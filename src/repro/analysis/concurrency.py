@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.callgraph import MUTATOR_METHODS, CallGraph
 from repro.analysis.findings import Finding
+from repro.analysis.suppressions import SuppressionIndex
 
 #: Resolved attribute types that can never be a data race by themselves.
 _EXEMPT_ATTR_TYPES = {"lock", "asynclock", "local", "threadpool",
@@ -323,7 +324,7 @@ class ConcurrencyModel:
 
 
 # ---------------------------------------------------------------------------
-# The project snapshot and runner shared by both drivers.
+# The project snapshot and its rule runner.
 # ---------------------------------------------------------------------------
 
 
@@ -331,10 +332,10 @@ class ConcurrencyModel:
 class ProjectSnapshot:
     """Everything a project-scoped rule sees for one run.
 
-    Built once per analysis (from live ASTs in the in-process driver,
-    from cached harvests in the incremental one).  Test files are
-    excluded at construction: fixtures deliberately violate concurrency
-    discipline, and their fake threads would poison the coloring.
+    Built once per analysis from the per-file call-graph harvests.  Test
+    files are excluded at construction: fixtures deliberately violate
+    concurrency discipline, and their fake threads would poison the
+    coloring.
     """
 
     graph: CallGraph
@@ -343,15 +344,15 @@ class ProjectSnapshot:
     rel_paths: set[str]
     #: rel -> physical source lines, for finding snippets.
     lines: dict[str, list[str]]
-    #: rel -> {line -> suppressed rule ids}.
-    suppress: dict[str, dict[int, set[str]]]
+    #: rel -> the file's inline suppressions.
+    suppress: dict[str, SuppressionIndex]
 
     @classmethod
     def build(
         cls,
         harvests: dict[str, tuple[str | None, dict]],
         lines: dict[str, list[str]],
-        suppress: dict[str, dict[int, set[str]]],
+        suppress: dict[str, SuppressionIndex],
     ) -> "ProjectSnapshot":
         graph = CallGraph.build(harvests)
         return cls(
@@ -369,20 +370,8 @@ class ProjectSnapshot:
         return ""
 
     def is_suppressed(self, finding: Finding) -> bool:
-        rules = self.suppress.get(finding.path, {}).get(finding.line)
-        return rules is not None and finding.rule in rules
-
-
-def suppress_payload(index) -> dict[str, list[str]]:
-    """Serialize a :class:`SuppressionIndex` for the harvest cache."""
-    return {
-        str(line): sorted(rules)
-        for line, rules in index._by_line.items()
-    }
-
-
-def suppress_from_payload(payload: dict) -> dict[int, set[str]]:
-    return {int(line): set(rules) for line, rules in payload.items()}
+        index = self.suppress.get(finding.path)
+        return index is not None and index.covers(finding)
 
 
 def run_project_rules(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from repro.analysis.imports import tree_nodes
 from repro.analysis.unitsig import (
     DELTA_K,
     DIMENSIONLESS,
@@ -71,7 +72,7 @@ def build_import_map(tree: ast.Module, module: str | None) -> dict[str, str]:
     """
     out: dict[str, str] = {}
     package = (module or "").split(".")[:-1]
-    for node in ast.walk(tree):
+    for node in tree_nodes(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 out[alias.asname or alias.name.split(".")[0]] = (
@@ -134,7 +135,7 @@ class UnitInterpreter:
     def run(self, tree: ast.Module) -> list[UnitDiagnostic]:
         self._imports = build_import_map(tree, self.module)
         self._exec_block(tree.body, {})
-        for node in ast.walk(tree):
+        for node in tree_nodes(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 env = self._seed_env(node)
                 self._exec_block(node.body, env)

@@ -39,21 +39,17 @@ def to_json(result: AnalysisResult) -> dict:
         "summary": {
             "files_scanned": result.files_scanned,
             "findings": len(result.findings),
-            "baselined": len(result.baselined),
             "suppressed": len(result.suppressed),
-            "stale_baseline": len(result.stale_baseline),
             "parse_errors": result.parse_errors,
             "by_rule": result.counts_by_rule(),
             "clean": result.clean,
         },
         "findings": [_finding_dict(f) for f in result.findings],
-        "baselined": [_finding_dict(f) for f in result.baselined],
-        "stale_baseline": list(result.stale_baseline),
     }
 
 
 def to_sarif(result: AnalysisResult, rules: tuple[Rule, ...]) -> dict:
-    """SARIF 2.1.0 log of one analysis run (new findings only)."""
+    """SARIF 2.1.0 log of one analysis run (unsuppressed findings only)."""
     rule_meta = [
         {
             "id": rule.id,
@@ -111,21 +107,13 @@ def to_sarif(result: AnalysisResult, rules: tuple[Rule, ...]) -> dict:
 def to_text(result: AnalysisResult, verbose: bool = False) -> str:
     """Human-readable report: one line per finding plus a summary."""
     lines = [f.render() for f in result.findings]
-    if result.stale_baseline:
+    if verbose and result.suppressed:
         lines.append("")
-        lines.append(
-            f"{len(result.stale_baseline)} stale baseline entr"
-            f"{'y' if len(result.stale_baseline) == 1 else 'ies'} "
-            "(fixed findings still in the baseline; run --update-baseline)"
-        )
-    if verbose and result.baselined:
-        lines.append("")
-        lines.append("baselined (accepted debt):")
-        lines.extend(f"  {f.render()}" for f in result.baselined)
+        lines.append("suppressed (justified inline):")
+        lines.extend(f"  {f.render()}" for f in result.suppressed)
     summary = (
         f"{result.files_scanned} files scanned: "
         f"{len(result.findings)} finding(s), "
-        f"{len(result.baselined)} baselined, "
         f"{len(result.suppressed)} suppressed"
     )
     if result.counts_by_rule():

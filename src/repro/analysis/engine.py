@@ -1,26 +1,59 @@
-"""The analysis driver: file collection, parsing, rule dispatch.
+"""The analysis driver: one serial pass, cached by content.
 
-One :class:`Analyzer` run parses every target file once, builds the
-project-wide import graph (for reachability-scoped rules), then hands
-each file to each applicable rule and filters the raw findings through
-inline suppressions.  Baseline filtering happens one layer up, in
-:mod:`repro.analysis.baseline`, so library callers can see the full
-finding set.
+:class:`Analyzer` reads every target file once, hashes its bytes, and
+splits the run into four layers cached in the engine's content-addressed
+:class:`~repro.engine.store.ResultStore` (``<root>/.repro-cache/analysis``
+unless ``cache_dir`` names another directory):
+
+1. **Harvest** (per file, keyed by path + content hash): import edges,
+   unit signatures, call-graph facts and the suppression map.  A warm
+   run rebuilds the import graph and the signature table without
+   parsing an unchanged file.
+2. **Rule results** (per file, keyed by content hash + rule ids +
+   :data:`RULESET_VERSION` + determinism-scope flags + signature-table
+   digest): the file rules' findings and suppressed findings.
+3. **Call-graph pass** (one entry, keyed by every non-test file's
+   call-graph facts and suppression map + the signature digest): the
+   interprocedural concurrency findings (RPR2xx).
+4. **Range pass**: per-file interval facts (keyed by content hash) and
+   one project entry keyed by those facts + the suppression maps + the
+   signature digest, which covers the declared ``PHYSICAL_RANGES``
+   table.  This backs RPR302.
+
+A file is parsed only when one of its layers misses, and then only once:
+the same tree serves its harvest, its rules and its interval facts.
+Because the signature digest is part of every rule-result key, an edit
+that changes a function's *signature* re-checks the whole tree (the
+cross-module rules may change anywhere), while a body-only edit
+re-checks exactly one file.
+
+Files that cannot be read or parsed produce an ``RPR000`` finding rather
+than aborting the run.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.callgraph import CALLGRAPH_VERSION, harvest_callgraph
+from repro.analysis.concurrency import ProjectSnapshot, run_project_rules
+from repro.analysis.dataflow import analyze_units
 from repro.analysis.findings import AnalysisResult, Finding, Severity
 from repro.analysis.imports import (
     ImportGraph,
-    build_import_graph,
+    imported_modules,
     module_name_for,
     rel_posix,
+)
+from repro.analysis.intervals import (
+    INTERVALS_VERSION,
+    analyze_intervals,
+    harvest_interval_facts,
+    run_range_pass,
 )
 from repro.analysis.registry import Rule, select_rules
 from repro.analysis.suppressions import SuppressionIndex, parse_suppressions
@@ -29,11 +62,29 @@ from repro.analysis.unitsig import (
     SignatureTable,
     harvest_signatures,
 )
+from repro.engine.jobs import content_hash
+from repro.engine.store import ResultStore
 
 #: Modules whose import closure the determinism rule polices: everything
 #: that can influence a job spec's content hash or its worker-side
 #: recomputation.
 DETERMINISM_ROOTS = ("repro.engine.jobs",)
+
+#: Default cache location, relative to the analysis root.
+DEFAULT_CACHE_DIR = ".repro-cache/analysis"
+
+#: Bump when the harvest payload shape or semantics change.
+#: v4: test files carry no call-graph facts (they never enter the graph).
+HARVEST_VERSION = 4
+
+#: Bump whenever any rule's logic changes in a way that can alter its
+#: findings; cached verdicts from older rule code then read as misses.
+#: (Adding/removing rules needs no bump — the active rule ids are part
+#: of every cache key.)
+#: v3: RPR001 honours a docstring-declared dimensionless parameter;
+#: RPR302 accepts a zero default for an accumulator that the function
+#: itself validates as non-negative.
+RULESET_VERSION = 3
 
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "venv", "build", "dist", ".eggs"}
 
@@ -42,8 +93,6 @@ _SKIP_DIRS = {"__pycache__", ".git", ".venv", "venv", "build", "dist", ".eggs"}
 class ProjectContext:
     """Whole-run state shared by every file's analysis."""
 
-    root: Path
-    import_graph: ImportGraph
     determinism_scope: set[str] = field(default_factory=set)
     #: True when none of DETERMINISM_ROOTS exist among the analyzed
     #: files; reachability is then unknowable and reachability-scoped
@@ -92,8 +141,6 @@ class FileContext:
         first caller pays for the interpretation, the rest filter.
         """
         if self._unit_diags is None:
-            from repro.analysis.dataflow import analyze_units
-
             self._unit_diags = analyze_units(
                 self.tree, self.project.unit_signatures, self.module
             )
@@ -106,8 +153,6 @@ class FileContext:
         interpretation the same way the unit rules share theirs.
         """
         if self._interval_diags is None:
-            from repro.analysis.intervals import analyze_intervals
-
             self._interval_diags = analyze_intervals(
                 self.tree, self.project.unit_signatures, self.module
             )
@@ -117,28 +162,13 @@ class FileContext:
     _interval_diags: list | None = field(default=None, repr=False)
 
 
-class PathPartsCache:
-    """Tiny helper so ``is_test`` stays allocation-light on big runs."""
-
-    _cache: dict[str, tuple[str, ...]] = {}
-
-    @classmethod
-    def parts(cls, rel_path: str) -> tuple[str, ...]:
-        parts = cls._cache.get(rel_path)
-        if parts is None:
-            parts = tuple(rel_path.split("/"))
-            cls._cache[rel_path] = parts
-        return parts
-
-
 def is_test_path(rel_path: str) -> bool:
     """Whether a repo-relative posix path names a test/bench file.
 
-    Shared by :attr:`FileContext.is_test` and the project snapshot
-    (test files never enter the call graph — their fixtures break
-    concurrency discipline on purpose).
+    Test files never enter the call graph or the range pass — their
+    fixtures break concurrency and range discipline on purpose.
     """
-    parts = PathPartsCache.parts(rel_path)
+    parts = rel_path.split("/")
     return (
         "tests" in parts
         or "test" in parts
@@ -160,28 +190,129 @@ def collect_files(paths: list[Path]) -> list[Path]:
     return sorted(out)
 
 
-def range_findings(rules: tuple[Rule, ...], payloads: list[dict]) -> list[Finding]:
-    """Turn range-pass payloads into RPR302 findings.
+def rule_result_key(
+    rel_path: str,
+    digest: str,
+    rule_ids: list[str],
+    in_scope: bool,
+    scope_global: bool,
+    sig_hash: str,
+) -> str:
+    """Store key of one file's rule results: every input that can change them."""
+    return content_hash(
+        {
+            "kind": "analysis_rules",
+            "v": RULESET_VERSION,
+            "path": rel_path,
+            "content": digest,
+            "rules": rule_ids,
+            "in_scope": in_scope,
+            "scope_global": scope_global,
+            "signatures": sig_hash,
+        }
+    )
 
-    Shared by both drivers: the in-process path computes payloads
-    directly, the incremental driver replays them from its cache.
-    """
-    rule = next((r for r in rules if r.id == "RPR302"), None)
-    if rule is None:
-        return []
-    return [
-        Finding(
-            rule=rule.id,
-            path=p["path"],
-            line=p["line"],
-            col=p["col"],
-            message=p["message"],
-            severity=rule.severity,
-            snippet=p.get("snippet", ""),
-            context=p.get("context", ""),
-        )
-        for p in payloads
-    ]
+
+def _finding_payload(finding: Finding, with_path: bool = False) -> dict:
+    payload = {
+        "rule": finding.rule,
+        "line": finding.line,
+        "col": finding.col,
+        "message": finding.message,
+        "severity": finding.severity.value,
+        "snippet": finding.snippet,
+        "context": finding.context,
+    }
+    if with_path:
+        payload["path"] = finding.path
+    return payload
+
+
+def _finding_from_payload(rel_path: str, payload: dict) -> Finding:
+    return Finding(
+        rule=payload["rule"],
+        path=rel_path,
+        line=payload["line"],
+        col=payload["col"],
+        message=payload["message"],
+        severity=Severity(payload["severity"]),
+        snippet=payload.get("snippet", ""),
+        context=payload.get("context", ""),
+    )
+
+
+def _unreadable(rel_path: str, line: int, message: str) -> Finding:
+    return Finding(
+        rule="RPR000",
+        path=rel_path,
+        line=line,
+        col=1,
+        message=message,
+        severity=Severity.ERROR,
+    )
+
+
+class _SourceFile:
+    """One target file as read this run; its tree is parsed at most once."""
+
+    def __init__(self, path: Path, rel: str, raw: bytes) -> None:
+        self.path = path
+        self.rel = rel
+        self.digest = hashlib.sha256(raw).hexdigest()
+        self.module = module_name_for(rel)
+        self.is_test = is_test_path(rel)
+        # Decoded from the same bytes the digest covers, so a concurrent
+        # edit can never pair one revision's hash with another's text.
+        try:
+            self.source: str | None = raw.decode("utf-8")
+            self.decode_error = ""
+        except UnicodeDecodeError as exc:
+            self.source = None
+            self.decode_error = str(exc)
+        self.harvest: dict = {}
+        self.parsed = False
+        self._tree: ast.Module | None = None
+        self._lines: list[str] | None = None
+
+    @property
+    def lines(self) -> list[str]:
+        if self._lines is None:
+            self._lines = self.source.splitlines()
+        return self._lines
+
+    @property
+    def tree(self) -> ast.Module:
+        if self._tree is None:
+            self._tree = ast.parse(self.source, filename=str(self.path))
+            self.parsed = True
+        return self._tree
+
+    @property
+    def suppressions(self) -> SuppressionIndex:
+        return SuppressionIndex.from_payload(self.harvest["suppress"])
+
+    def compute_harvest(self) -> dict:
+        """This file's harvest payload (parses the tree)."""
+        if self.source is None:
+            return {"ok": False, "error": self.decode_error, "line": 1}
+        try:
+            tree = self.tree
+        except (SyntaxError, ValueError) as exc:
+            return {
+                "ok": False,
+                "error": str(exc),
+                "line": getattr(exc, "lineno", None) or 1,
+            }
+        module = self.module
+        payload = {
+            "ok": True,
+            "imports": sorted(imported_modules(tree, module)) if module else [],
+            "signatures": harvest_signatures(tree, module),
+            "suppress": parse_suppressions(self.lines, tree).as_payload(),
+        }
+        if not self.is_test:
+            payload["callgraph"] = harvest_callgraph(tree, module)
+        return payload
 
 
 class Analyzer:
@@ -192,7 +323,8 @@ class Analyzer:
             (normally the repo root).
         select: optional rule-id allowlist.
         ignore: optional rule-id denylist.
-        rules: explicit rule instances (overrides select/ignore).
+        cache_dir: result-store directory (created on demand); defaults
+            to ``root / DEFAULT_CACHE_DIR``.
         report_only: optional set of repo-relative posix paths; when
             given, the whole tree is still analyzed (project passes need
             global facts) but only findings anchored in these files are
@@ -204,177 +336,349 @@ class Analyzer:
         root: Path | str = ".",
         select: list[str] | None = None,
         ignore: list[str] | None = None,
-        rules: tuple[Rule, ...] | None = None,
         cache_dir: Path | str | None = None,
-        workers: int | None = None,
         report_only: set[str] | None = None,
     ) -> None:
         self.root = Path(root)
-        self._custom_rules = rules is not None
-        self.rules = rules if rules is not None else select_rules(select, ignore)
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.workers = workers
+        self.rules = select_rules(select, ignore)
+        self.cache_dir = (
+            Path(cache_dir) if cache_dir is not None
+            else self.root / DEFAULT_CACHE_DIR
+        )
         self.report_only = report_only
+        self.store = ResultStore(self.cache_dir)
 
     def analyze_paths(self, paths: list[Path | str]) -> AnalysisResult:
-        """Analyze files and directories; returns all raw findings.
-
-        With ``cache_dir`` set (and rules taken from the registry), the
-        run goes through the incremental driver: per-file results are
-        cached by content in the engine's result store and cold work is
-        fanned out over a process pool.  Explicit ``rules=`` instances
-        force the in-process path — workers rebuild rules from the
-        registry by id, which ad-hoc instances may not be in.
-
-        Files that fail to parse produce an ``RPR000`` syntax-error
-        finding rather than aborting the run.
-        """
+        """Analyze files and directories; returns every finding."""
         files = collect_files([Path(p) for p in paths])
-        if self.cache_dir is not None and not self._custom_rules:
-            from repro.analysis.incremental import IncrementalDriver
-
-            driver = IncrementalDriver(
-                root=self.root,
-                rules=self.rules,
-                cache_dir=self.cache_dir,
-                workers=self.workers,
-            )
-            return self._filter_report(driver.analyze_files(files))
         result = AnalysisResult(files_scanned=len(files))
 
-        parsed: dict[str, tuple[Path, str, ast.Module]] = {}
-        trees_by_rel: dict[str, ast.AST] = {}
+        sources: list[_SourceFile] = []
+        harvest_hits = harvest_misses = 0
         for path in files:
             rel = rel_posix(path, self.root)
             try:
-                source = path.read_text(encoding="utf-8")
-                tree = ast.parse(source, filename=str(path))
-            except (OSError, SyntaxError, ValueError) as exc:
+                src = _SourceFile(path, rel, path.read_bytes())
+            except OSError as exc:
                 result.parse_errors += 1
-                line = getattr(exc, "lineno", None) or 1
                 result.findings.append(
-                    Finding(
-                        rule="RPR000",
-                        path=rel,
-                        line=line,
-                        col=1,
-                        message=f"file could not be parsed: {exc}",
-                        severity=Severity.ERROR,
+                    _unreadable(rel, 1, f"file could not be read: {exc}")
+                )
+                continue
+            key = content_hash(
+                {
+                    "kind": "analysis_harvest",
+                    "v": HARVEST_VERSION,
+                    "path": rel,
+                    "content": src.digest,
+                }
+            )
+            cached = self.store.get(key)
+            if cached is None:
+                harvest_misses += 1
+                src.harvest = src.compute_harvest()
+                self.store.put(key, "analysis_harvest", src.harvest)
+            else:
+                harvest_hits += 1
+                src.harvest = cached
+            if not src.harvest["ok"]:
+                result.parse_errors += 1
+                result.findings.append(
+                    _unreadable(
+                        rel,
+                        src.harvest.get("line") or 1,
+                        f"file could not be parsed: {src.harvest['error']}",
                     )
                 )
                 continue
-            parsed[rel] = (path, source, tree)
-            trees_by_rel[rel] = tree
+            sources.append(src)
 
-        graph = build_import_graph(trees_by_rel)
+        graph = ImportGraph(
+            edges={
+                src.module: set(src.harvest["imports"])
+                for src in sources
+                if src.module
+            }
+        )
         scope = graph.reachable_from(DETERMINISM_ROOTS)
-        harvests = [
-            harvest_signatures(tree, module_name_for(rel))
-            for rel, (_, _, tree) in parsed.items()
-        ]
+        table = SignatureTable.merge([src.harvest["signatures"] for src in sources])
+        sig_hash = content_hash(table.as_payload())
         project = ProjectContext(
-            root=self.root,
-            import_graph=graph,
             determinism_scope=scope,
             determinism_scope_is_global=not scope,
-            unit_signatures=SignatureTable.merge(harvests),
+            unit_signatures=table,
         )
 
         file_rules = tuple(r for r in self.rules if r.scope == "file")
         project_rules = tuple(r for r in self.rules if r.scope == "project")
         interval_rules = tuple(r for r in self.rules if r.scope == "intervals")
+        analyzed, cached_files = self._file_pass(
+            file_rules, sources, project, sig_hash, result
+        )
 
-        suppress_maps: dict[str, dict[int, set[str]]] = {}
-        lines_by_rel: dict[str, list[str]] = {}
-        for rel, (path, source, tree) in parsed.items():
-            lines = source.splitlines()
-            suppressions = parse_suppressions(lines, tree)
-            suppress_maps[rel] = suppressions._by_line
-            lines_by_rel[rel] = lines
-            ctx = FileContext(
-                path=path,
-                rel_path=rel,
-                source=source,
-                lines=lines,
-                tree=tree,
-                module=module_name_for(rel),
-                project=project,
-                suppressions=suppressions,
-            )
-            for rule in file_rules:
-                if not rule.applies_to(ctx):
-                    continue
-                for finding in rule.check(ctx):
-                    if ctx.suppressions.covers(finding):
-                        result.suppressed.append(finding)
-                    else:
-                        result.findings.append(finding)
-
+        checked = [src for src in sources if not src.is_test]
+        callgraph_status = "skipped"
         callgraph_pass_s = 0.0
         if project_rules:
-            from repro.analysis.callgraph import harvest_callgraph
-            from repro.analysis.concurrency import (
-                ProjectSnapshot,
-                run_project_rules,
-            )
-
             start = time.perf_counter()
-            cg_harvests = {
-                rel: (module_name_for(rel), harvest_callgraph(tree, module_name_for(rel)))
-                for rel, (_, _, tree) in parsed.items()
-                if not is_test_path(rel)
-            }
-            snapshot = ProjectSnapshot.build(
-                cg_harvests, lines_by_rel, suppress_maps
+            callgraph_status = self._callgraph_pass(
+                project_rules, checked, sig_hash, result
             )
-            proj_findings, proj_suppressed = run_project_rules(
-                project_rules, snapshot
-            )
-            result.findings.extend(proj_findings)
-            result.suppressed.extend(proj_suppressed)
             callgraph_pass_s = time.perf_counter() - start
 
+        range_status = "skipped"
         range_pass_s = 0.0
+        intervals_hits = intervals_misses = 0
         if interval_rules:
-            from repro.analysis.intervals import (
-                harvest_interval_facts,
-                run_range_pass,
-            )
-
             start = time.perf_counter()
-            facts = {
-                rel: harvest_interval_facts(
-                    tree, module_name_for(rel), lines_by_rel[rel]
-                )
-                for rel, (_, _, tree) in parsed.items()
-                if not is_test_path(rel)
-            }
-            payloads = run_range_pass(facts, project.unit_signatures)
-            for finding in range_findings(interval_rules, payloads):
-                covered = finding.rule in suppress_maps.get(
-                    finding.path, {}
-                ).get(finding.line, set())
-                if covered:
-                    result.suppressed.append(finding)
-                else:
-                    result.findings.append(finding)
+            range_status, intervals_hits, intervals_misses = self._range_pass(
+                interval_rules, checked, table, sig_hash, result
+            )
             range_pass_s = time.perf_counter() - start
 
         result.findings.sort(key=Finding.sort_key)
         result.suppressed.sort(key=Finding.sort_key)
         result.stats = {
-            "driver": "in-process",
             "files": len(files),
-            "analyzed": len(parsed),
-            "cached": 0,
+            "parsed": sum(src.parsed for src in sources),
+            "analyzed": analyzed,
+            "cached": cached_files,
+            "harvest_hits": harvest_hits,
+            "harvest_misses": harvest_misses,
             "callgraph_rules": len(project_rules),
-            "callgraph_pass": "computed" if project_rules else "skipped",
+            "callgraph_pass": callgraph_status,
             "callgraph_pass_s": round(callgraph_pass_s, 4),
             "range_rules": len(interval_rules),
-            "range_pass": "computed" if interval_rules else "skipped",
+            "range_pass": range_status,
             "range_pass_s": round(range_pass_s, 4),
+            "intervals_hits": intervals_hits,
+            "intervals_misses": intervals_misses,
+            "store": self.store.stats.as_dict(),
         }
         return self._filter_report(result)
+
+    # ---- per-file rules ------------------------------------------------
+
+    def _file_pass(
+        self,
+        file_rules: tuple[Rule, ...],
+        sources: list[_SourceFile],
+        project: ProjectContext,
+        sig_hash: str,
+        result: AnalysisResult,
+    ) -> tuple[int, int]:
+        """Run (or replay) every file's rules; returns (analyzed, cached)."""
+        rule_ids = [rule.id for rule in file_rules]
+        scope = project.determinism_scope
+        analyzed = cached = 0
+        for src in sources:
+            key = rule_result_key(
+                src.rel,
+                src.digest,
+                rule_ids,
+                bool(src.module and src.module in scope),
+                project.determinism_scope_is_global,
+                sig_hash,
+            )
+            payload = self.store.get(key)
+            if payload is None:
+                analyzed += 1
+                payload = self._check_file(src, project, file_rules)
+                self.store.put(key, "analysis_rules", payload)
+            else:
+                cached += 1
+            for entry in payload["findings"]:
+                result.findings.append(_finding_from_payload(src.rel, entry))
+            for entry in payload["suppressed"]:
+                result.suppressed.append(_finding_from_payload(src.rel, entry))
+        return analyzed, cached
+
+    @staticmethod
+    def _check_file(
+        src: _SourceFile, project: ProjectContext, rules: tuple[Rule, ...]
+    ) -> dict:
+        """Run the file rules over one file; JSON-ready finding records."""
+        findings: list[dict] = []
+        suppressed: list[dict] = []
+        if not rules:  # a project-rules-only run: nothing to parse for
+            return {"findings": findings, "suppressed": suppressed}
+        ctx = FileContext(
+            path=src.path,
+            rel_path=src.rel,
+            source=src.source,
+            lines=src.lines,
+            tree=src.tree,
+            module=src.module,
+            project=project,
+            suppressions=src.suppressions,
+        )
+        for rule in rules:
+            if not rule.applies_to(ctx):
+                continue
+            for finding in rule.check(ctx):
+                bucket = suppressed if ctx.suppressions.covers(finding) else findings
+                bucket.append(_finding_payload(finding))
+        return {"findings": findings, "suppressed": suppressed}
+
+    # ---- project passes ------------------------------------------------
+
+    def _replay_or_compute(self, key: str, kind: str, compute, result) -> str:
+        """Replay a cached project pass, or compute and store it.
+
+        ``compute`` returns ``(findings, suppressed)``; returns the
+        layer's status, ``"cached"`` or ``"computed"``.
+        """
+        cached = self.store.get(key)
+        if cached is not None:
+            for entry in cached["findings"]:
+                result.findings.append(_finding_from_payload(entry["path"], entry))
+            for entry in cached["suppressed"]:
+                result.suppressed.append(_finding_from_payload(entry["path"], entry))
+            return "cached"
+        findings, suppressed = compute()
+        self.store.put(
+            key,
+            kind,
+            {
+                "findings": [_finding_payload(f, with_path=True) for f in findings],
+                "suppressed": [_finding_payload(f, with_path=True) for f in suppressed],
+            },
+        )
+        result.findings.extend(findings)
+        result.suppressed.extend(suppressed)
+        return "computed"
+
+    def _callgraph_pass(
+        self,
+        project_rules: tuple[Rule, ...],
+        checked: list[_SourceFile],
+        sig_hash: str,
+        result: AnalysisResult,
+    ) -> str:
+        """Run (or replay) the interprocedural pass; returns its status.
+
+        A warm unchanged tree replays the cached findings without
+        building the graph; a body edit changes one file's facts and
+        recomputes the pass from the (all cached) harvests; a signature
+        edit flips ``sig_hash`` and so invalidates this layer together
+        with every per-file result.
+        """
+        key = content_hash(
+            {
+                "kind": "analysis_callgraph_pass",
+                "hv": HARVEST_VERSION,
+                "cgv": CALLGRAPH_VERSION,
+                "rv": RULESET_VERSION,
+                "rules": [rule.id for rule in project_rules],
+                "cg": content_hash(
+                    {
+                        src.rel: {
+                            "callgraph": src.harvest["callgraph"],
+                            "suppress": src.harvest["suppress"],
+                        }
+                        for src in checked
+                    }
+                ),
+                "sig": sig_hash,
+            }
+        )
+
+        def compute():
+            snapshot = ProjectSnapshot.build(
+                harvests={
+                    src.rel: (src.module, src.harvest["callgraph"])
+                    for src in checked
+                },
+                lines={src.rel: src.lines for src in checked},
+                suppress={src.rel: src.suppressions for src in checked},
+            )
+            return run_project_rules(project_rules, snapshot)
+
+        return self._replay_or_compute(
+            key, "analysis_callgraph_pass", compute, result
+        )
+
+    def _range_pass(
+        self,
+        interval_rules: tuple[Rule, ...],
+        checked: list[_SourceFile],
+        table: SignatureTable,
+        sig_hash: str,
+        result: AnalysisResult,
+    ) -> tuple[str, int, int]:
+        """Run (or replay) the project range check.
+
+        Returns ``(status, interval-facts hits, interval-facts misses)``.
+        The pass is keyed by every non-test file's interval facts *and*
+        suppression map, plus the signature-table digest — which covers
+        the declared physical-range table, so editing an envelope in
+        ``constants.PHYSICAL_RANGES`` recomputes it.
+        """
+        hits = misses = 0
+        facts_by_path: dict[str, dict] = {}
+        for src in checked:
+            key = content_hash(
+                {
+                    "kind": "analysis_intervals",
+                    "v": INTERVALS_VERSION,
+                    "path": src.rel,
+                    "content": src.digest,
+                }
+            )
+            facts = self.store.get(key)
+            if facts is None:
+                misses += 1
+                facts = harvest_interval_facts(src.tree, src.module, src.lines)
+                self.store.put(key, "analysis_intervals", facts)
+            else:
+                hits += 1
+            facts_by_path[src.rel] = facts
+        key = content_hash(
+            {
+                "kind": "analysis_range_pass",
+                "hv": HARVEST_VERSION,
+                "iv": INTERVALS_VERSION,
+                "rv": RULESET_VERSION,
+                "rules": [rule.id for rule in interval_rules],
+                "facts": content_hash(
+                    {
+                        src.rel: {
+                            "facts": facts_by_path[src.rel],
+                            "suppress": src.harvest["suppress"],
+                        }
+                        for src in checked
+                    }
+                ),
+                "sig": sig_hash,
+            }
+        )
+
+        def compute():
+            rule = next((r for r in interval_rules if r.id == "RPR302"), None)
+            findings: list[Finding] = []
+            suppressed: list[Finding] = []
+            if rule is None:
+                return findings, suppressed
+            suppressions = {src.rel: src.suppressions for src in checked}
+            for p in run_range_pass(facts_by_path, table):
+                finding = Finding(
+                    rule=rule.id,
+                    path=p["path"],
+                    line=p["line"],
+                    col=p["col"],
+                    message=p["message"],
+                    severity=rule.severity,
+                    snippet=p.get("snippet", ""),
+                    context=p.get("context", ""),
+                )
+                covered = suppressions[finding.path].covers(finding)
+                (suppressed if covered else findings).append(finding)
+            return findings, suppressed
+
+        status = self._replay_or_compute(
+            key, "analysis_range_pass", compute, result
+        )
+        return status, hits, misses
 
     def _filter_report(self, result: AnalysisResult) -> AnalysisResult:
         """Drop findings outside ``report_only``, when set (--changed)."""

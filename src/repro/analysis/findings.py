@@ -5,9 +5,9 @@ A :class:`Finding` is one rule violation at one source location.  Its
 it hashes the rule id, the file path, and either the rule-supplied
 ``context`` (a semantic anchor like ``call:qualname:param``) or, when
 none is given, the normalised source line — so a finding keeps its
-identity (and stays matched against the committed baseline) when
-unrelated edits shift code up or down a file, and for project-scope
-rules even when the anchoring line itself is reformatted or reordered.
+identity (SARIF ``partialFingerprints``) when unrelated edits shift
+code up or down a file, and for project-scope rules even when the
+anchoring line itself is reformatted or reordered.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number free)."""
+        """Stable identity across re-runs (line-number free)."""
         anchor = self.context or " ".join(self.snippet.split())
         basis = f"{self.rule}|{self.path}|{anchor}"
         return hashlib.sha256(basis.encode()).hexdigest()[:16]
@@ -81,29 +81,23 @@ class AnalysisResult:
     """Everything one analysis run produced.
 
     Attributes:
-        findings: unsuppressed, unbaselined findings (the ones that gate).
-        baselined: findings matched by the committed baseline.
+        findings: unsuppressed findings (the ones that gate).
         suppressed: findings silenced by inline ``# repro: ignore[...]``.
-        stale_baseline: baseline fingerprints that matched nothing (fixed
-            debt that should be ratcheted out of the baseline file).
         files_scanned: number of files analyzed.
         parse_errors: files that could not be parsed (also findings).
-        stats: driver statistics (cache hits, worker count, ...); shape
-            depends on which driver produced the result.
+        stats: driver statistics (cache layers, parses, timings).
     """
 
     findings: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    stale_baseline: list[str] = field(default_factory=list)
     files_scanned: int = 0
     parse_errors: int = 0
     stats: dict = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
-        """True when nothing gates: no new findings, no stale baseline."""
-        return not self.findings and not self.stale_baseline
+        """True when nothing gates: no unsuppressed findings."""
+        return not self.findings
 
     def counts_by_rule(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -38,6 +38,20 @@ def module_name_for(rel_path: str) -> str | None:
     return ".".join(parts)
 
 
+def tree_nodes(tree: ast.AST) -> list[ast.AST]:
+    """Every node of ``tree`` in :func:`ast.walk` order, walked once.
+
+    The harvests and most rules scan a whole parsed file; the list is
+    kept on the (never mutated) tree so a file is walked once per run
+    however many passes read it.
+    """
+    nodes = getattr(tree, "_repro_nodes", None)
+    if nodes is None:
+        nodes = list(ast.walk(tree))
+        tree._repro_nodes = nodes
+    return nodes
+
+
 def imported_modules(tree: ast.AST, module: str) -> set[str]:
     """Every module ``module``'s source imports, eager or lazy.
 
@@ -71,9 +85,6 @@ class ImportGraph:
 
     edges: dict[str, set[str]] = field(default_factory=dict)
 
-    def add_module(self, module: str, tree: ast.AST) -> None:
-        self.edges[module] = imported_modules(tree, module)
-
     def reachable_from(self, roots: tuple[str, ...]) -> set[str]:
         """Transitive closure over modules present in the graph.
 
@@ -97,16 +108,6 @@ class ImportGraph:
                     if cand in self.edges and cand not in seen:
                         frontier.append(cand)
         return seen
-
-
-def build_import_graph(files: dict[str, ast.AST]) -> ImportGraph:
-    """Graph over ``{rel_path: tree}`` for every path that is a module."""
-    graph = ImportGraph()
-    for rel_path, tree in files.items():
-        module = module_name_for(rel_path)
-        if module is not None:
-            graph.add_module(module, tree)
-    return graph
 
 
 def rel_posix(path: Path, root: Path) -> str:

@@ -9,7 +9,8 @@ assignments, arithmetic, ``min``/``max``/``clip``, branch conditions
 cross-module calls via the harvested signature table.  Parameters seed
 from the declared physical envelopes in ``constants.PHYSICAL_RANGES``:
 ``temperature_k`` enters as ``[200, 500]`` kelvin, ``activity`` as
-``[0, 1]``, ``dt_s`` as ``(0, inf)``.
+``[0, 1]``, ``dt_s`` as ``(0, inf)`` — widened to admit a literal
+default, so ``dt_s=0.0`` enters as ``[0, inf)``.
 
 The arithmetic is *float-honest*, not real-valued: ``exp`` of an
 unbounded argument is ``[0, inf]`` with both ends **closed**, because
@@ -48,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 from repro.analysis.dataflow import build_import_map
+from repro.analysis.imports import tree_nodes
 from repro.analysis.unitsig import SignatureTable, unit_from_name
 
 #: Bump when the interval-facts payload shape or the interpretation
@@ -534,10 +536,23 @@ class IntervalInterpreter:
         return False
 
     def _seed_env(self, node) -> dict[str, AbsVal]:
+        """Parameters enter at their declared envelope, widened to admit
+        a literal default: the body really sees that value, so
+        ``hours: float = 0.0`` seeds ``[0, inf]`` while a bare ``hours``
+        stays strictly positive (a safe divisor)."""
         env: dict[str, AbsVal] = {}
         args = node.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+        positional = [*args.posonlyargs, *args.args]
+        defaults = dict(
+            zip(positional[len(positional) - len(args.defaults) :], args.defaults)
+        )
+        defaults.update(zip(args.kwonlyargs, args.kw_defaults))
+        for arg in [*positional, *args.kwonlyargs]:
             iv = range_to_interval(self.table.range_for_name(arg.arg))
+            default = defaults.get(arg)
+            fact = _fact_value(default) if default is not None else None
+            if iv is not None and fact is not None and "value" in fact:
+                iv = iv.union(Interval.point(fact["value"]))
             env[arg.arg] = AbsVal(iv, False)
         return env
 
@@ -1199,9 +1214,9 @@ def harvest_interval_facts(
     """One file's boundary-crossing numeric values, JSON-ready.
 
     Pure function of the file's content (plus its path-derived module
-    name), which is what lets the incremental driver cache it by
-    content hash.  Resolution against the signature/range tables
-    happens later, in :func:`run_range_pass`.
+    name), which is what lets the analyzer cache it by content hash.
+    Resolution against the signature/range tables happens later, in
+    :func:`run_range_pass`.
     """
     imports = build_import_map(tree, module)
 
@@ -1234,7 +1249,7 @@ def harvest_interval_facts(
                         }
                     )
 
-    for node in ast.walk(tree):
+    for node in tree_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
             positional = [*a.posonlyargs, *a.args]
@@ -1348,8 +1363,8 @@ def run_range_pass(
     """Check harvested interval facts against the declared envelopes.
 
     Returns RPR302 finding payloads (plain dicts with ``path``/``line``
-    /``col``/``message``/``snippet``/``context``), ready for either
-    driver to turn into findings and filter through suppressions.
+    /``col``/``message``/``snippet``/``context``), ready for the
+    analyzer to turn into findings and filter through suppressions.
     """
     out: list[dict] = []
 
@@ -1393,7 +1408,13 @@ def run_range_pass(
                     f"constant {const['name']} =",
                 )
         for dflt in facts.get("defaults", []):
+            # A default is judged against the closed envelope: a strict
+            # lower bound only protects divisors, and the interval pass
+            # seeds each parameter with its default, so RPR301 reports a
+            # zero default that really reaches a division.  Zero is a
+            # valid start for an accumulator such as elapsed hours.
             rng = table.range_for_name(dflt["param"])
+            rng = rng[:2] if rng is not None else None
             value = resolve_value(dflt)
             if rng is not None and value is not None and _outside(value, rng):
                 emit(

@@ -116,8 +116,8 @@ class ProjectRule(Rule):
     Project rules run once per analysis against the merged call-graph
     snapshot (interprocedural facts: coloring, lock domains, escape
     classes) instead of once per file.  They still emit ordinary
-    :class:`Finding` objects anchored in specific files, so emitters,
-    suppressions, and the baseline ratchet treat them identically.
+    :class:`Finding` objects anchored in specific files, so emitters
+    and suppressions treat them identically.
     """
 
     scope = "project"

@@ -31,6 +31,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.imports import tree_nodes
 from repro.analysis.registry import Rule, register
 from repro.analysis.rules.determinism import dotted_name
 
@@ -133,7 +134,7 @@ class AsyncBlockingRule(Rule):
         )
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in tree_nodes(ctx.tree):
             if isinstance(node, ast.AsyncFunctionDef):
                 yield from self._check_coroutine(ctx, node)
 

@@ -13,8 +13,7 @@ hunt is visible at a single call site:
   call-graph region that owns it.
 
 All five anchor their findings at concrete source lines, so inline
-``# repro: ignore[RPR20x]`` suppressions and the baseline ratchet work
-unchanged.  Test files never enter the snapshot: fixtures violate
+``# repro: ignore[RPR20x]`` suppressions work unchanged.  Test files never enter the snapshot: fixtures violate
 concurrency discipline on purpose.
 """
 

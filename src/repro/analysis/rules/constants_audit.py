@@ -21,6 +21,7 @@ from collections.abc import Iterator
 
 from repro import constants
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.imports import tree_nodes
 from repro.analysis.registry import Rule, register
 
 #: audited value -> canonical spelling(s) in repro/constants.py.
@@ -50,7 +51,7 @@ class ConstantsAuditRule(Rule):
         return not ctx.is_test and ctx.path.name != "constants.py"
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in tree_nodes(ctx.tree):
             if not isinstance(node, ast.Constant):
                 continue
             value = node.value

@@ -19,6 +19,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.imports import tree_nodes
 from repro.analysis.registry import Rule, register
 
 #: fully-dotted calls that read ambient state.
@@ -94,7 +95,7 @@ class DeterminismRule(Rule):
         return ctx.in_determinism_scope
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in tree_nodes(ctx.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_call(ctx, node)
             elif isinstance(node, (ast.For, ast.AsyncFor)):

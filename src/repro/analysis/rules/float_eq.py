@@ -16,6 +16,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.imports import tree_nodes
 from repro.analysis.registry import Rule, register
 from repro.analysis.rules.determinism import dotted_name
 
@@ -63,7 +64,7 @@ class FloatEqualityRule(Rule):
     )
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in tree_nodes(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]

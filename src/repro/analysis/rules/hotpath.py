@@ -15,6 +15,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.imports import tree_nodes
 from repro.analysis.intervals import is_hot_module
 from repro.analysis.registry import Rule, register
 from repro.analysis.rules.numeric_safety import IntervalRuleBase
@@ -105,7 +106,7 @@ class ScalarMathCallRule(HotPathRuleBase):
         from repro.analysis.dataflow import build_import_map
 
         imports = build_import_map(ctx.tree, ctx.module)
-        for node in ast.walk(ctx.tree):
+        for node in tree_nodes(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -199,7 +200,7 @@ class RedundantArrayCopyRule(HotPathRuleBase):
         # Names bound from numpy calls / int-dtype creations, per scope.
         array_names: set[str] = set()
         int_array_names: set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in tree_nodes(ctx.tree):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if not isinstance(target, ast.Name):
@@ -220,7 +221,7 @@ class RedundantArrayCopyRule(HotPathRuleBase):
                     if dtype_kw is not None and _is_int_dtype(dtype_kw):
                         int_array_names.add(target.id)
 
-        for node in ast.walk(ctx.tree):
+        for node in tree_nodes(ctx.tree):
             if isinstance(node, ast.Call):
                 tail = _np_call_tail(node, numpy_names)
                 # np.array(x) where x is provably already an ndarray.

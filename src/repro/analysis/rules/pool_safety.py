@@ -23,6 +23,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.imports import tree_nodes
 from repro.analysis.registry import Rule, register
 from repro.analysis.rules.determinism import dotted_name
 
@@ -101,7 +102,7 @@ class PoolSafetyRule(Rule):
 
     def check(self, ctx) -> Iterator[Finding]:
         local_defs = _local_defs(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in tree_nodes(ctx.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_submit(ctx, node, local_defs)
         yield from self._check_job_classes(ctx)

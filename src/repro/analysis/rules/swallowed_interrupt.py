@@ -18,6 +18,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.imports import tree_nodes
 from repro.analysis.registry import Rule, register
 from repro.analysis.rules.determinism import dotted_name
 
@@ -71,7 +72,7 @@ class SwallowedInterruptRule(Rule):
     )
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in tree_nodes(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if _reraises(node):

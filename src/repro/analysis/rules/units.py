@@ -8,14 +8,21 @@ physical quantity must end in a unit suffix consistent with those
 conventions.  A second heuristic catches the classic kelvin/Celsius
 slip: a numeric literal below absolute-zero-plus-margin passed to a
 ``*_k`` keyword is almost certainly a Celsius value.
+
+A parameter whose docstring ``Args:`` entry declares it dimensionless
+("as a fraction of ...", "dimensionless") is exempt: the documented
+unit is the convention's source of truth, and renaming a public
+parameter to satisfy the heuristic would break its callers.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections.abc import Iterator
 
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.imports import tree_nodes
 from repro.analysis.registry import Rule, register
 from repro.constants import MIN_TEMPERATURE_K
 
@@ -45,6 +52,45 @@ DIMENSIONLESS_SUFFIXES = frozenset(
 )
 
 _SKIP_NAMES = frozenset({"self", "cls"})
+
+#: Phrases that, in a parameter's docstring ``Args:`` entry, declare it
+#: dimensionless: an annealing "temperature" given "as a fraction of"
+#: the objective is a number, not a kelvin value.  The documented unit
+#: wins over the name heuristic.
+_DIMENSIONLESS_DOC = ("dimensionless", "unitless", "fraction of", "ratio of")
+
+_ARGS_HEADERS = frozenset({"Args:", "Arguments:", "Parameters:"})
+_ARG_ENTRY = re.compile(r"(\w+)(?:\s*\([^)]*\))?:\s*(.*)")
+
+
+def _documented_dimensionless(node: ast.AST) -> set[str]:
+    """Parameters whose Google-style ``Args:`` entry declares them dimensionless."""
+    doc = ast.get_docstring(node) or ""
+    entries: dict[str, str] = {}
+    in_args = False
+    name, name_indent = None, 0
+    for line in doc.splitlines():
+        text = line.strip()
+        if not text:
+            continue
+        indent = len(line) - len(line.lstrip())
+        if indent == 0:
+            in_args = text in _ARGS_HEADERS
+            name = None
+            continue
+        if not in_args:
+            continue
+        match = _ARG_ENTRY.fullmatch(text)
+        if match is not None and (name is None or indent <= name_indent):
+            name, name_indent = match.group(1), indent
+            entries[name] = match.group(2)
+        elif name is not None:
+            entries[name] += " " + text
+    return {
+        param
+        for param, entry in entries.items()
+        if any(phrase in entry.lower() for phrase in _DIMENSIONLESS_DOC)
+    }
 
 
 def _annotation_is_numeric(annotation: ast.expr | None) -> bool:
@@ -128,7 +174,7 @@ class UnitSuffixRule(Rule):
         return not ctx.is_test
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in tree_nodes(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_signature(ctx, node)
             elif isinstance(node, ast.ClassDef):
@@ -152,7 +198,10 @@ class UnitSuffixRule(Rule):
 
     def _check_signature(self, ctx, node) -> Iterator[Finding]:
         args = node.args
+        dimensionless = _documented_dimensionless(node)
         for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            if arg.arg in dimensionless:
+                continue
             if _annotation_is_numeric(arg.annotation):
                 yield from self._name_finding(ctx, arg, arg.arg, "parameter")
 

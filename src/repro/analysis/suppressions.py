@@ -23,8 +23,7 @@ lines and anywhere inside a multi-line call expression:
     )
 
 ``# repro: ignore`` without a rule list is deliberately NOT supported:
-blanket suppressions hide new rules' findings, which defeats the
-ratchet.
+blanket suppressions would hide new rules' findings.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.analysis.findings import Finding
+from repro.analysis.imports import tree_nodes
 
 _SUPPRESSION = re.compile(r"#\s*repro:\s*ignore\[([A-Za-z0-9_,\s]+)\]")
 _COMMENT_ONLY = re.compile(r"^\s*#")
@@ -71,6 +71,14 @@ class SuppressionIndex:
         """Source lines on which ``rule_id`` is suppressed."""
         return {ln for ln, rules in self._by_line.items() if rule_id in rules}
 
+    def as_payload(self) -> dict[str, list[str]]:
+        """JSON form of the line -> rules map (for the harvest cache)."""
+        return {str(line): sorted(rules) for line, rules in self._by_line.items()}
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, list[str]]) -> "SuppressionIndex":
+        return cls(_by_line={int(line): set(rules) for line, rules in payload.items()})
+
 
 def _statement_spans(tree: ast.Module) -> list[tuple[int, int]]:
     """(start, end) line span of every statement, 1-based inclusive.
@@ -82,7 +90,7 @@ def _statement_spans(tree: ast.Module) -> list[tuple[int, int]]:
     span all their physical lines (multi-line calls included).
     """
     spans: list[tuple[int, int]] = []
-    for node in ast.walk(tree):
+    for node in tree_nodes(tree):
         if not isinstance(node, ast.stmt):
             continue
         start = node.lineno

@@ -18,8 +18,8 @@ this module provides without importing any analyzed code:
   so explicitly annotated constants override name inference.
 
 Everything harvested is plain JSON-able data, which is what lets the
-incremental driver cache one file's harvest by content hash and rebuild
-the cross-module signature table without re-parsing unchanged files.
+analyzer cache one file's harvest by content hash and rebuild the
+cross-module signature table without re-parsing unchanged files.
 """
 
 from __future__ import annotations

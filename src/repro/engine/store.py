@@ -509,7 +509,6 @@ CODECS = {
     "joint": (encode_joint_decision, decode_joint_decision),
     "intra": (encode_intra_decision, decode_intra_decision),
     "qualification": (_identity_encode, _identity_decode),
-    "analyze_file": (_identity_encode, _identity_decode),
 }
 
 

@@ -1,8 +1,8 @@
-"""``python -m repro analyze`` contract: exit codes, baseline, formats.
+"""``python -m repro analyze`` contract: exit codes, formats, modes.
 
-Exit codes: 0 clean, 1 findings (or stale baseline), 2 usage error.
-Each test runs the real CLI entry point against a fixture tree, chdir'd
-so default paths and the baseline resolve inside ``tmp_path``.
+Exit codes: 0 clean, 1 findings, 2 usage error.  Each test runs the
+real CLI entry point against a fixture tree, chdir'd so default paths
+and the cache resolve inside ``tmp_path``.
 """
 
 import json
@@ -67,53 +67,14 @@ class TestExitCodes:
             main(["analyze", "--bogus"])
         assert exc.value.code == 2
 
-
-class TestBaselineFlow:
-    def test_update_then_clean_then_ratchet(self, project, capsys):
-        root = project(src=DIRTY)
-
-        # Click the ratchet: record current debt, then the run is clean.
-        assert main(["analyze", "--update-baseline"]) == 0
-        assert (root / "analysis-baseline.json").is_file()
-        capsys.readouterr()
-        assert main(["analyze"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-        # New debt on top of the baseline still fails.
-        (root / "src" / "mod.py").write_text(
-            textwrap.dedent(DIRTY) + "Y = 0.9\n", encoding="utf-8"
-        )
-        assert main(["analyze"]) == 1
-
-    def test_fixed_debt_makes_baseline_stale(self, project, capsys):
-        root = project(src=DIRTY)
-        assert main(["analyze", "--update-baseline"]) == 0
-
-        (root / "src" / "mod.py").write_text(
-            textwrap.dedent(CLEAN), encoding="utf-8"
-        )
-        capsys.readouterr()
-        assert main(["analyze"]) == 1
-        assert "stale" in capsys.readouterr().out
-
-        # --update-baseline clicks the ratchet down again.
-        assert main(["analyze", "--update-baseline"]) == 0
-        assert main(["analyze"]) == 0
-        payload = json.loads(
-            (root / "analysis-baseline.json").read_text(encoding="utf-8")
-        )
-        assert payload["findings"] == {}
-
-    def test_no_baseline_flag_shows_all_findings(self, project):
-        project(src=DIRTY)
-        assert main(["analyze", "--update-baseline"]) == 0
-        assert main(["analyze", "--no-baseline"]) == 1
-
-    def test_malformed_baseline_is_usage_error(self, project, capsys):
-        root = project()
-        (root / "analysis-baseline.json").write_text("{", encoding="utf-8")
-        assert main(["analyze"]) == 2
-        assert "baseline" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag", ["--no-baseline", "--update-baseline", "--no-cache", "--jobs=2"]
+    )
+    def test_retired_flags_are_usage_errors(self, project, flag):
+        project()
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", flag])
+        assert exc.value.code == 2
 
 
 class TestOutputs:
@@ -130,6 +91,18 @@ class TestOutputs:
         sarif = json.loads(out.read_text(encoding="utf-8"))
         assert sarif["version"] == "2.1.0"
         assert sarif["runs"][0]["results"][0]["ruleId"] == "RPR004"
+
+    def test_verbose_lists_suppressed_findings(self, project, capsys):
+        project(src="""
+            def check(x):
+                return x == 1.5  # repro: ignore[RPR004] fixture
+        """)
+        assert main(["analyze"]) == 0
+        assert "mod.py" not in capsys.readouterr().out
+        assert main(["analyze", "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert "suppressed (justified inline):" in out
+        assert "src/mod.py:3:17 RPR004" in out
 
     def test_list_rules(self, project, capsys):
         project()
@@ -179,7 +152,7 @@ class TestChangedMode:
         (root / "src" / "other.py").write_text(
             textwrap.dedent(DIRTY), encoding="utf-8"
         )
-        assert main(["analyze", "--changed", "--no-baseline"]) == 1
+        assert main(["analyze", "--changed"]) == 1
         out = capsys.readouterr().out
         assert "other.py" in out
         assert "mod.py" not in out
@@ -189,7 +162,7 @@ class TestChangedMode:
         _git(root, "init", "-q")
         _git(root, "add", "-A")
         _git(root, "commit", "-qm", "seed")
-        assert main(["analyze", "--changed", "--no-baseline"]) == 0
+        assert main(["analyze", "--changed"]) == 0
         assert "no changed python files" in capsys.readouterr().err
 
     def test_untracked_files_count_as_changed(self, project, capsys):
@@ -200,12 +173,12 @@ class TestChangedMode:
         (root / "src" / "fresh.py").write_text(
             textwrap.dedent(DIRTY), encoding="utf-8"
         )
-        assert main(["analyze", "--changed", "--no-baseline"]) == 1
+        assert main(["analyze", "--changed"]) == 1
         assert "fresh.py" in capsys.readouterr().out
 
     def test_outside_git_falls_back_to_full_run(self, project, capsys):
         project(src=DIRTY)
-        assert main(["analyze", "--changed", "--no-baseline"]) == 1
+        assert main(["analyze", "--changed"]) == 1
         assert "running on everything" in capsys.readouterr().err
 
 
@@ -215,9 +188,8 @@ class TestStatsJson:
         out = tmp_path / "stats.json"
         assert main(["analyze", "--stats-json", str(out)]) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["driver"] in ("incremental", "in-process")
         assert payload["duration_s"] >= 0.0
-        assert "files" in payload
+        assert payload["files"] == payload["parsed"] == 2
 
     def test_warm_run_reports_cache_layers(self, project, tmp_path):
         project()
@@ -227,3 +199,4 @@ class TestStatsJson:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["cached"] == payload["files"]
         assert payload["harvest_hits"] == payload["files"]
+        assert payload["parsed"] == 0

@@ -1,13 +1,9 @@
-"""Framework tests: suppressions, fingerprints, baseline ratchet, emitters."""
+"""Framework tests: suppressions, fingerprints, emitters."""
 
 import json
 
-import pytest
-
 from repro.analysis import (
-    AnalysisError,
     AnalysisResult,
-    Baseline,
     Finding,
     Severity,
     all_rules,
@@ -142,65 +138,6 @@ class TestFingerprints:
         assert finding(rule="RPR001").fingerprint != base.fingerprint
         assert finding(path="src/other.py").fingerprint != base.fingerprint
         assert finding(snippet="y == 2.5").fingerprint != base.fingerprint
-
-
-class TestBaselineRatchet:
-    def test_known_findings_are_absorbed(self):
-        f = finding()
-        baseline = Baseline.from_findings([f])
-        result = AnalysisResult(findings=[finding(line=40)])  # moved line
-        baseline.partition(result)
-        assert result.findings == []
-        assert len(result.baselined) == 1
-        assert result.stale_baseline == []
-        assert result.clean
-
-    def test_new_finding_fails_the_run(self):
-        baseline = Baseline.from_findings([finding()])
-        result = AnalysisResult(findings=[finding(), finding(snippet="y == 2.5")])
-        baseline.partition(result)
-        assert len(result.findings) == 1
-        assert not result.clean
-
-    def test_count_bounds_duplicate_absorption(self):
-        # Two identical offending lines baselined; a third is new debt.
-        baseline = Baseline.from_findings([finding(), finding(line=9)])
-        result = AnalysisResult(
-            findings=[finding(), finding(line=9), finding(line=70)]
-        )
-        baseline.partition(result)
-        assert len(result.baselined) == 2
-        assert len(result.findings) == 1
-
-    def test_fixed_finding_leaves_stale_entry_that_fails(self):
-        baseline = Baseline.from_findings([finding()])
-        result = AnalysisResult(findings=[])
-        baseline.partition(result)
-        assert result.stale_baseline == [finding().fingerprint]
-        assert not result.clean
-        described = baseline.describe_stale(result.stale_baseline)
-        assert "RPR004" in described[0]
-
-    def test_write_load_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings([finding()]).write(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries.keys() == {finding().fingerprint}
-        assert loaded.entries[finding().fingerprint]["count"] == 1
-
-    def test_load_rejects_missing_and_malformed_files(self, tmp_path):
-        with pytest.raises(AnalysisError):
-            Baseline.load(tmp_path / "nope.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("[]", encoding="utf-8")
-        with pytest.raises(AnalysisError):
-            Baseline.load(bad)
-        wrong_version = tmp_path / "v99.json"
-        wrong_version.write_text(
-            json.dumps({"version": 99, "findings": {}}), encoding="utf-8"
-        )
-        with pytest.raises(AnalysisError):
-            Baseline.load(wrong_version)
 
 
 class TestEmitters:

@@ -1,10 +1,8 @@
-"""Incremental analysis driver: cache hits, invalidation, parallelism.
+"""The analyzer's cache layers: hits, invalidation, parse-once.
 
-Every test runs the real :class:`Analyzer` with a ``cache_dir`` so the
-run goes through :class:`repro.analysis.incremental.IncrementalDriver`
-and the engine's content-addressed result store.  ``workers=1`` keeps
-execution in-process (serial) — caching behaves identically to the
-pooled path, which one smoke test exercises.
+Every test runs the real :class:`Analyzer` with its cache in the
+fixture tree, so cold and warm runs go through the engine's
+content-addressed result store exactly as ``repro analyze`` does.
 """
 
 import textwrap
@@ -12,8 +10,7 @@ import textwrap
 import pytest
 
 from repro.analysis import Analyzer
-from repro.analysis.incremental import RULESET_VERSION
-from repro.engine.analysis_jobs import AnalyzeFileJob
+from repro.analysis.engine import RULESET_VERSION, rule_result_key
 
 CLEAN = """
     def total(core_power_w: float, cache_power_w: float) -> float:
@@ -41,14 +38,16 @@ def write_tree(root, files):
         target.write_text(textwrap.dedent(text), encoding="utf-8")
 
 
-def analyze(root, workers=1, select=None):
-    analyzer = Analyzer(
-        root=root,
-        select=select,
-        cache_dir=root / ".cache",
-        workers=workers,
-    )
+def analyze(root, select=None):
+    analyzer = Analyzer(root=root, select=select, cache_dir=root / ".cache")
     return analyzer.analyze_paths([root / "src"])
+
+
+def full(findings):
+    return [
+        (f.rule, f.path, f.line, f.col, f.message, f.snippet, f.context)
+        for f in findings
+    ]
 
 
 @pytest.fixture
@@ -69,8 +68,8 @@ def tree(tmp_path):
 class TestWarmRuns:
     def test_cold_run_analyzes_everything(self, tree):
         result = analyze(tree)
-        assert result.stats["driver"] == "incremental"
         assert result.stats["files"] == 3
+        assert result.stats["parsed"] == 3
         assert result.stats["analyzed"] == 3
         assert result.stats["cached"] == 0
         assert result.stats["harvest_hits"] == 0
@@ -81,6 +80,7 @@ class TestWarmRuns:
         assert warm.stats["cached"] == 3
         assert warm.stats["analyzed"] == 0
         assert warm.stats["harvest_hits"] == 3
+        assert warm.stats["parsed"] == 0
         assert [f.fingerprint for f in warm.findings] == [
             f.fingerprint for f in cold.findings
         ]
@@ -93,14 +93,19 @@ class TestWarmRuns:
             (f.rule, f.path, f.line, f.message) for f in cold.findings
         ]
 
-    def test_parallel_cold_run_matches_serial(self, tree):
-        pooled = analyze(tree, workers=2)
-        assert pooled.stats["analyzed"] == 3
-        serial = analyze(tree)  # warm: reads what the pool wrote
-        assert serial.stats["cached"] == 3
-        assert [f.fingerprint for f in pooled.findings] == [
-            f.fingerprint for f in serial.findings
-        ]
+    def test_cold_and_warm_runs_agree(self, tree):
+        write_tree(tree, {
+            "src/delta.py": """
+                def check(x):
+                    return x == 1.5  # repro: ignore[RPR004] fixture
+            """,
+        })
+        cold = analyze(tree)
+        warm = analyze(tree)
+        assert warm.stats["parsed"] == 0
+        assert cold.findings and cold.suppressed
+        assert full(warm.findings) == full(cold.findings)
+        assert full(warm.suppressed) == full(cold.suppressed)
 
 
 class TestInvalidation:
@@ -118,6 +123,7 @@ class TestInvalidation:
         assert result.stats["analyzed"] == 1
         assert result.stats["cached"] == 2
         assert result.stats["harvest_hits"] == 2
+        assert result.stats["parsed"] == 1
 
     def test_signature_edit_reanalyzes_the_tree(self, tree):
         analyze(tree)
@@ -129,6 +135,8 @@ class TestInvalidation:
         assert result.stats["analyzed"] == 3
         assert result.stats["cached"] == 0
         assert result.stats["harvest_hits"] == 2
+        # Each file is parsed once, though only one missed its harvest.
+        assert result.stats["parsed"] == 3
 
     def test_rule_selection_is_part_of_the_key(self, tree):
         analyze(tree, select=["RPR101"])
@@ -147,14 +155,12 @@ class TestInvalidation:
         assert result.stats["harvest_hits"] == 4
 
 
-class TestJobKeys:
+class TestRuleResultKeys:
     def kwargs(self, **overrides):
         base = dict(
             rel_path="src/mod.py",
-            content_hash="abc123",
-            module="mod",
-            rule_ids=("RPR101", "RPR102"),
-            ruleset_version=RULESET_VERSION,
+            digest="abc123",
+            rule_ids=["RPR101", "RPR102"],
             in_scope=False,
             scope_global=False,
             sig_hash="sig456",
@@ -162,24 +168,21 @@ class TestJobKeys:
         base.update(overrides)
         return base
 
-    def test_source_is_pinned_by_digests_not_keyed(self):
-        # The payload carries hashes; the bulky source/sig_json ride
-        # along for the worker but must not perturb the key.
-        a = AnalyzeFileJob(**self.kwargs(), source="x = 1\n", sig_json="{}")
-        b = AnalyzeFileJob(**self.kwargs(), source="x = 2\n", sig_json="{}")
-        assert a.cache_key == b.cache_key
-
-    def test_every_declared_input_perturbs_the_key(self):
-        base = AnalyzeFileJob(**self.kwargs())
+    def test_every_declared_input_perturbs_the_key(self, monkeypatch):
+        base = rule_result_key(**self.kwargs())
         variants = [
-            AnalyzeFileJob(**self.kwargs(content_hash="def789")),
-            AnalyzeFileJob(**self.kwargs(rule_ids=("RPR101",))),
-            AnalyzeFileJob(**self.kwargs(ruleset_version=RULESET_VERSION + 1)),
-            AnalyzeFileJob(**self.kwargs(in_scope=True)),
-            AnalyzeFileJob(**self.kwargs(scope_global=True)),
-            AnalyzeFileJob(**self.kwargs(sig_hash="sig999")),
+            rule_result_key(**self.kwargs(rel_path="src/other.py")),
+            rule_result_key(**self.kwargs(digest="def789")),
+            rule_result_key(**self.kwargs(rule_ids=["RPR101"])),
+            rule_result_key(**self.kwargs(in_scope=True)),
+            rule_result_key(**self.kwargs(scope_global=True)),
+            rule_result_key(**self.kwargs(sig_hash="sig999")),
         ]
-        keys = {base.cache_key} | {v.cache_key for v in variants}
+        monkeypatch.setattr(
+            "repro.analysis.engine.RULESET_VERSION", RULESET_VERSION + 1
+        )
+        variants.append(rule_result_key(**self.kwargs()))
+        keys = {base} | set(variants)
         assert len(keys) == len(variants) + 1
 
 

@@ -146,6 +146,56 @@ class TestDeclaredRange:
         }, select=["RPR302"])
         assert result.findings == []
 
+    def test_zero_default_accumulator_is_clean(self, tmp_path):
+        # The WearState shape: elapsed hours start at zero, and only a
+        # divisor needs the strictly positive envelope.
+        result = run(tmp_path, {
+            "src/repro/constants.py": RANGES,
+            "src/repro/core/mod.py": """
+                class Tally:
+                    def __init__(self, hours: float = 0.0) -> None:
+                        if hours < 0.0:
+                            raise ValueError("hours must be non-negative")
+                        self.hours = hours
+            """,
+        }, select=["RPR301", "RPR302"])
+        assert result.findings == []
+
+    def test_zero_default_that_reaches_a_division_fires(self, tmp_path):
+        # The default widens the parameter's seed to [0, inf], so the
+        # division it reaches is reported where it happens.
+        result = run(tmp_path, {
+            "src/repro/constants.py": RANGES,
+            "src/repro/core/mod.py": """
+                def rate(count: float, hours: float = 0.0) -> float:
+                    return count / hours
+
+                def safe_rate(count: float, hours: float) -> float:
+                    return count / hours
+            """,
+        }, select=["RPR301", "RPR302"])
+        assert rules_hit(result) == ["RPR301"]
+        assert result.findings[0].line == 3
+
+    def test_zero_duration_argument_still_fires(self, tmp_path):
+        # Values crossing a call boundary keep the strict envelope: the
+        # callee's interval pass cannot see them.
+        result = run(tmp_path, {
+            "src/repro/constants.py": RANGES,
+            "src/repro/core/mod_a.py": """
+                def per_hour(count: float, hours: float) -> float:
+                    return count / hours
+            """,
+            "src/repro/core/mod_b.py": """
+                from repro.core import mod_a
+
+                def drive() -> float:
+                    return mod_a.per_hour(3.0, hours=0.0)
+            """,
+        }, select=["RPR302"])
+        assert rules_hit(result) == ["RPR302"]
+        assert result.findings[0].path.endswith("mod_b.py")
+
     def test_suppression(self, tmp_path):
         result = run(tmp_path, {
             "src/repro/constants.py": RANGES,

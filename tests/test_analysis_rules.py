@@ -81,6 +81,46 @@ class TestUnitSuffix:
         }, select=["RPR001"])
         assert result.findings == []
 
+    def test_docstring_declared_dimensionless_parameter_is_exempt(self, tmp_path):
+        # The annealing-temperature shape of AdversarySearch.search: the
+        # Args entry declares it a fraction, so it is not a kelvin value.
+        result = run(tmp_path, {
+            "src/mod.py": """
+                def search(*, anneal_steps: int = 200, temperature: float = 0.05):
+                    \"\"\"Anneal.
+
+                    Args:
+                        anneal_steps: Metropolis mutation steps.
+                        temperature: initial acceptance temperature, as a
+                            fraction of the incumbent objective.
+                    \"\"\"
+                    return temperature
+            """,
+        }, select=["RPR001"])
+        assert result.findings == []
+
+    def test_undocumented_or_other_params_still_fire(self, tmp_path):
+        # The exemption is per parameter: a sibling whose entry declares
+        # no dimensionless unit, and the same name without a docstring,
+        # are still checked.
+        result = run(tmp_path, {
+            "src/mod.py": """
+                def cool(temperature: float, voltage: float):
+                    \"\"\"Cool down.
+
+                    Args:
+                        temperature: die temperature.
+                        voltage: supply, as a fraction of nominal.
+                    \"\"\"
+                    return temperature
+
+                def heat(temperature: float):
+                    return temperature
+            """,
+        }, select=["RPR001"])
+        assert [f.line for f in result.findings] == [2, 11]
+        assert all("temperature" in f.message for f in result.findings)
+
 
 class TestDeterminism:
     def test_flags_wall_clock_rng_and_set_order(self, tmp_path):

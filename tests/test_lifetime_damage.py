@@ -18,8 +18,9 @@ def uniform_rates(value: float = 1e-6) -> np.ndarray:
 class TestDamageModel:
     def test_defaults_are_sofr_consistent(self):
         model = DamageModel()
-        assert model.fail_threshold == 1.0
-        assert model.asymmetry_coefficient == 0.0
+        # Stored defaults read back unchanged, so == is exact.
+        assert model.fail_threshold == 1.0  # repro: ignore[RPR004] stored default
+        assert model.asymmetry_coefficient == 0.0  # repro: ignore[RPR004] stored default
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, float("nan"), float("inf")])
     def test_rejects_bad_threshold(self, threshold):
@@ -36,9 +37,10 @@ class TestWearState:
     def test_fresh_is_zero(self):
         state = WearState.fresh()
         assert state.damage.shape == SHAPE
-        assert state.total == 0.0
-        assert state.peak == 0.0
-        assert state.hours == 0.0
+        # A fresh state holds literal zeros; sums and maxima of zeros are exact.
+        assert state.total == 0.0  # repro: ignore[RPR004] sum of literal zeros
+        assert state.peak == 0.0  # repro: ignore[RPR004] max of literal zeros
+        assert state.hours == 0.0  # repro: ignore[RPR004] stored literal zero
         assert state.epochs == 0
         assert not state.failed()
 
@@ -47,7 +49,7 @@ class TestWearState:
         state = WearState.fresh()
         state.accrue(uniform_rates(2.0**-20), 128.0)
         assert np.all(state.damage == 2.0**-13)
-        assert state.hours == 128.0
+        assert state.hours == 128.0  # repro: ignore[RPR004] 0 + 128, a power of two
         assert state.epochs == 1
         state.accrue(uniform_rates(2.0**-21), 64.0)
         assert np.all(state.damage == 2.0**-13 + 2.0**-15)
@@ -58,6 +60,7 @@ class TestWearState:
         state.accrue(uniform_rates(2.0**-20), 128.0)
         state.reset_structure("fpu")
         column = STRUCTURE_NAMES.index("fpu")
+        # repro: ignore[RPR004] reset writes literal zeros into the column
         assert np.all(state.damage[:, column] == 0.0)
         others = np.delete(state.damage, column, axis=1)
         assert np.all(others == 2.0**-13)
@@ -73,8 +76,9 @@ class TestWearState:
         mech, struct, worst = state.binding_cell()
         assert mech == MECHANISM_NAMES[1]
         assert struct == STRUCTURE_NAMES[3]
-        assert worst == 0.7
-        assert state.peak == 0.7
+        # The stored 0.7 is read back, not recomputed, so == is exact.
+        assert worst == 0.7  # repro: ignore[RPR004] stored value read back
+        assert state.peak == 0.7  # repro: ignore[RPR004] stored value read back
         assert state.failed(threshold=0.5)
         assert not state.failed(threshold=0.9)
 
@@ -142,7 +146,7 @@ class TestAccrueKernel:
         damage = np.zeros(SHAPE)
         out = accrue(damage, uniform_rates(2.0**-20), 8.0)
         assert out is not damage
-        assert np.all(damage == 0.0)
+        assert np.all(damage == 0.0)  # repro: ignore[RPR004] input left as literal zeros
         assert np.all(out == 2.0**-17)
 
     def test_rejects_negative_rates(self):
