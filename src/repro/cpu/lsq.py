@@ -35,6 +35,9 @@ class LoadStoreQueue:
             raise ConfigurationError("LSQ capacity must be positive")
         self.capacity = capacity
         self._entries: dict[int, _Entry] = {}
+        # Sequence numbers of the queued stores with a known address, by
+        # address: the forwarding search looks at one small bucket.
+        self._stores_at: dict[int, set[int]] = {}
         self.inserts = 0
         self.searches = 0
         self.forwards = 0
@@ -64,9 +67,13 @@ class LoadStoreQueue:
     def set_address(self, seq: int, addr: int) -> None:
         """Record the generated address for an entry."""
         try:
-            self._entries[seq].addr = addr
+            entry = self._entries[seq]
         except KeyError:
             raise SimulationError(f"no LSQ entry {seq}") from None
+        if entry.is_store:
+            self._forget_store(entry)
+            self._stores_at.setdefault(addr, set()).add(seq)
+        entry.addr = addr
 
     def forwarding_store(self, seq: int, addr: int) -> bool:
         """Check store-to-load forwarding for the load ``seq`` at ``addr``.
@@ -78,10 +85,7 @@ class LoadStoreQueue:
         small, and we ignore it — the approximation is noted in DESIGN.md.
         """
         self.searches += 1
-        match = any(
-            e.is_store and e.addr == addr and e.seq < seq
-            for e in self._entries.values()
-        )
+        match = any(s < seq for s in self._stores_at.get(addr, ()))
         if match:
             self.forwards += 1
         return match
@@ -92,6 +96,15 @@ class LoadStoreQueue:
         Raises:
             SimulationError: if ``seq`` is not present.
         """
-        if seq not in self._entries:
+        entry = self._entries.pop(seq, None)
+        if entry is None:
             raise SimulationError(f"retiring unknown LSQ entry {seq}")
-        del self._entries[seq]
+        if entry.is_store:
+            self._forget_store(entry)
+
+    def _forget_store(self, entry: _Entry) -> None:
+        seqs = self._stores_at.get(entry.addr) if entry.addr is not None else None
+        if seqs is not None:
+            seqs.discard(entry.seq)
+            if not seqs:
+                del self._stores_at[entry.addr]

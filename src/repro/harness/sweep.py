@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import Future
 from pathlib import Path
 
 from repro.config.microarch import BASE_MICROARCH, MicroarchConfig
@@ -73,9 +74,13 @@ class SimulationCache:
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.store = ResultStore(self.disk_dir) if self.disk_dir is not None else None
         self._memory: dict[str, WorkloadRun] = {}
+        # Single flight: the first caller to miss a key loads or simulates
+        # it; concurrent callers of the same key wait on its future.
+        self._in_flight: dict[str, Future] = {}
         # The decision service shares one cache across its worker
-        # threads; the memo is the only mutable state, so it alone is
-        # locked — simulations (and store I/O) run outside the lock.
+        # threads; the memo and the in-flight table are the only mutable
+        # state, so they alone are locked — simulations (and store I/O)
+        # run outside the lock.
         self._memory_lock = threading.Lock()
 
     def _key(self, profile: WorkloadProfile, config: MicroarchConfig) -> str:
@@ -92,12 +97,42 @@ class SimulationCache:
         simulation.  Undecodable store entries are struck (self-healed
         first, quarantined on a repeat) and the simulation re-runs —
         corruption degrades to recomputation, never to an exception.
+
+        Concurrent calls for the same key run one load or simulation and
+        all return its result; if it raises, every waiting caller gets
+        the exception and the next call tries again.
         """
         key = self._key(profile, config)
         with self._memory_lock:
             cached = self._memory.get(key)
+            if cached is None:
+                flight = self._in_flight.get(key)
+                leader = flight is None
+                if leader:
+                    flight = self._in_flight[key] = Future()
         if cached is not None:
             return cached
+        if not leader:
+            return flight.result()
+        try:
+            run, simulated = self._load_or_simulate(key, profile, config)
+        except BaseException as exc:
+            with self._memory_lock:
+                del self._in_flight[key]
+            flight.set_exception(exc)
+            raise
+        with self._memory_lock:
+            self._memory[key] = run
+            del self._in_flight[key]
+        flight.set_result(run)
+        if simulated and self.store is not None:
+            self.store.put(key, "simulate", encode_workload_run(run))
+        return run
+
+    def _load_or_simulate(
+        self, key: str, profile: WorkloadProfile, config: MicroarchConfig
+    ) -> tuple[WorkloadRun, bool]:
+        """The run from the disk store, else simulated (``True``)."""
         if self.store is not None:
             payload = self.store.get(key)
             if payload is not None:
@@ -107,21 +142,14 @@ class SimulationCache:
                     self.store.invalidate(key)
                 else:
                     self.store.absolve(key)
-                    with self._memory_lock:
-                        self._memory[key] = run
-                    return run
+                    return run, False
         simulator = CycleSimulator(
             config=config,
             instructions=self.instructions,
             warmup=self.warmup,
             seed=self.seed,
         )
-        run = simulator.run(profile)
-        with self._memory_lock:
-            self._memory[key] = run
-        if self.store is not None:
-            self.store.put(key, "simulate", encode_workload_run(run))
-        return run
+        return simulator.run(profile), True
 
     def run_many(
         self,

@@ -98,6 +98,16 @@ class Trace:
             raise WorkloadError("trace must contain at least one instruction")
         if (dep1 < 0).any() or (dep2 < 0).any():
             raise WorkloadError("dependency distances must be non-negative")
+        # Instruction i can depend at most i instructions back; a longer
+        # distance names a producer before the start of the trace.
+        position = np.arange(n)
+        reaches_back = (dep1 > position) | (dep2 > position)
+        if reaches_back.any():
+            first = int(np.argmax(reaches_back))
+            raise WorkloadError(
+                f"instruction {first} depends on an instruction before the "
+                "start of the trace (dependency distance exceeds its index)"
+            )
         self.op = np.ascontiguousarray(op, dtype=np.int8)
         self.dep1 = np.ascontiguousarray(dep1, dtype=np.int32)
         self.dep2 = np.ascontiguousarray(dep2, dtype=np.int32)

@@ -1,8 +1,13 @@
 """Tests for the simulation cache and the report formatters."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.config.microarch import BASE_MICROARCH, MicroarchConfig
+from repro.cpu.simulator import CycleSimulator
 from repro.errors import ReproError
 from repro.harness.reporting import format_series, format_table
 from repro.harness.sweep import SimulationCache
@@ -66,6 +71,103 @@ class TestSimulationCache:
         c3 = SimulationCache(instructions=1500, warmup=300, disk_dir=tmp_path)
         assert c3.run(TWOLF) == run1
         assert c3.store.stats.hits == 1
+
+
+class TestSingleFlight:
+    """Concurrent callers of one key share one simulation."""
+
+    @staticmethod
+    def _counting(monkeypatch, before=None):
+        calls = []
+        lock = threading.Lock()
+        real_run = CycleSimulator.run
+
+        def run(self, profile):
+            with lock:
+                calls.append((profile.name, self.config.describe()))
+                n = len(calls)
+            if before is not None:
+                before(n)
+            return real_run(self, profile)
+
+        monkeypatch.setattr(CycleSimulator, "run", run)
+        return calls
+
+    def test_one_simulation_per_distinct_key(self, monkeypatch):
+        # Hold each simulation long enough that every thread arrives
+        # while its key is still in flight.
+        calls = self._counting(monkeypatch, before=lambda n: time.sleep(0.1))
+        cache = SimulationCache(instructions=300, warmup=100)
+        keys = [
+            (app, config)
+            for app in ("twolf", "art")
+            for config in (BASE_MICROARCH, MicroarchConfig(window_size=16))
+        ]
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def worker(slot):
+            app, config = keys[slot % 4]
+            start.wait()
+            results[slot] = cache.run(workload_by_name(app), config)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 4
+        assert sorted(calls) == sorted(
+            (app, config.describe()) for app, config in keys
+        )
+        for k in range(4):
+            assert results[k] is results[k + 4]
+            assert results[k] is cache.run(workload_by_name(keys[k][0]), keys[k][1])
+        assert len(calls) == 4
+
+    def test_failure_reaches_waiters_and_frees_the_key(self, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+
+        def first_call_fails(n):
+            if n == 1:
+                entered.set()
+                release.wait(10)
+                raise RuntimeError("simulator crashed")
+
+        calls = self._counting(monkeypatch, before=first_call_fails)
+        cache = SimulationCache(instructions=300, warmup=100)
+        outcomes = []
+
+        def caller():
+            try:
+                outcomes.append(cache.run(TWOLF))
+            except RuntimeError as exc:
+                outcomes.append(exc)
+
+        leader = threading.Thread(target=caller)
+        leader.start()
+        assert entered.wait(10)
+        waiters = [threading.Thread(target=caller) for _ in range(3)]
+        for t in waiters:
+            t.start()
+        time.sleep(0.2)  # the waiters block on the leader's flight
+        release.set()
+        for t in [leader, *waiters]:
+            t.join(30)
+        assert not any(t.is_alive() for t in [leader, *waiters])
+        assert len(calls) == 1
+        assert len(outcomes) == 4
+        assert all(isinstance(o, RuntimeError) for o in outcomes)
+        # The failed key is not stuck: the next call simulates again.
+        run = cache.run(TWOLF)
+        assert len(calls) == 2
+        assert cache.run(TWOLF) is run
 
 
 class TestFormatTable:

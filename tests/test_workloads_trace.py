@@ -90,15 +90,40 @@ class TestTrace:
                 fp_dest=t.fp_dest,
             )
 
+    @pytest.mark.parametrize("column", ["dep1", "dep2"])
+    def test_dependency_before_trace_start_rejected(self, column):
+        # dep[2] = 5 names instruction -3, before the trace starts.
+        deps = np.zeros(8, dtype=np.int32)
+        deps[2] = 5
+        t = make_trace(8)
+        columns = dict(
+            op=t.op, dep1=t.dep1, dep2=t.dep2, addr=t.addr,
+            taken=t.taken, pc=t.pc, fp_dest=t.fp_dest,
+        )
+        columns[column] = deps
+        with pytest.raises(WorkloadError, match="instruction 2 depends"):
+            Trace(**columns)
+
+    def test_single_instruction_with_dependency_rejected(self):
+        with pytest.raises(WorkloadError, match="instruction 0 depends"):
+            Trace.from_instructions([Instruction(op=OpClass.IALU, dep1=3)])
+
+    def test_dependency_on_first_instruction_accepted(self):
+        t = Trace.from_instructions(
+            [Instruction(op=OpClass.IALU, dep1=i, dep2=i) for i in range(4)]
+        )
+        assert t.dep1.tolist() == [0, 1, 2, 3]
+
     def test_from_instructions_round_trip(self):
         instrs = [
-            Instruction(op=OpClass.LOAD, dep1=1, addr=64, pc=0),
-            Instruction(op=OpClass.BRANCH, taken=True, pc=4),
+            Instruction(op=OpClass.LOAD, addr=64, pc=0),
+            Instruction(op=OpClass.BRANCH, dep1=1, taken=True, pc=4),
         ]
         t = Trace.from_instructions(instrs)
         assert len(t) == 2
         assert t[0].op == OpClass.LOAD
         assert t[0].addr == 64
+        assert t[1].dep1 == 1
         assert t[1].taken is True
 
     def test_from_empty_list_rejected(self):
