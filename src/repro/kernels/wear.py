@@ -27,7 +27,7 @@ stays SOFR-consistent with :mod:`repro.core.fit`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -83,20 +83,49 @@ def wear_rate_fields(
     return rates
 
 
-def accrue(damage: np.ndarray, rates: np.ndarray, hours: float) -> np.ndarray:
-    """One Miner's-rule fold step: ``damage + rates·hours`` (fresh array).
+def accrue(
+    damage: np.ndarray, rates: np.ndarray, hours: float | Sequence[float]
+) -> np.ndarray:
+    """Miner's-rule fold of a stack of epochs (fresh array).
 
-    Pure and elementwise — no reductions — so folding a schedule epoch
-    by epoch is exactly associative over splits: accruing A then B is
-    bit-identical to accruing the concatenated schedule.  The damage
-    monotonicity property rides on the validation here.
+    ``rates`` is ``(n, M, S)`` damage/hour and ``hours`` is ``(n,)``,
+    or one epoch as ``(M, S)`` and a scalar.  The result is
+    ``damage + rates[0]·hours[0] + … + rates[n-1]·hours[n-1]``, added
+    strictly left to right.  Row 0 of a buffer holds ``damage``
+    and rows 1..n the products; row n of ``np.add.accumulate`` over it
+    is the answer.  ``accumulate`` never reassociates (only ``reduce``
+    sums pairwise), so a stack of n epochs is bitwise n one-epoch
+    folds, and folding A then B is bitwise folding A + B.  The damage
+    monotonicity property rides on the validation here, which reports
+    the first bad epoch exactly as a one-epoch fold would.
     """
-    if hours < 0.0 or not np.isfinite(hours):
-        raise ReliabilityError(f"epoch hours must be finite and >= 0, got {hours!r}")
-    if rates.shape != damage.shape:
+    hours = np.asarray(hours, dtype=np.float64)
+    if hours.ndim == 0:
+        rates, hours = rates[None], hours[None]
+    if rates.shape[1:] != damage.shape:
         raise ReliabilityError(
-            f"rate field shape {rates.shape} does not match damage {damage.shape}"
+            f"rate field shape {rates.shape[1:]} does not match damage {damage.shape}"
         )
-    if not np.all(np.isfinite(rates)) or np.any(rates < 0.0):
+    if hours.shape != rates.shape[:1]:
+        raise ReliabilityError(
+            f"{rates.shape[0]} rate fields but hours of shape {hours.shape}"
+        )
+    valid_hours = _finite_non_negative(hours)
+    valid_rates = _finite_non_negative(rates)
+    if not (valid_hours.all() and valid_rates.all()):
+        bad = ~valid_hours | ~valid_rates.all(axis=(1, 2))
+        first = int(bad.argmax())
+        if not valid_hours[first]:
+            raise ReliabilityError(
+                f"epoch hours must be finite and >= 0, got {float(hours[first])!r}"
+            )
         raise ReliabilityError("wear rates must be finite and non-negative")
-    return damage + rates * hours
+    buffer = np.empty((len(hours) + 1,) + damage.shape)
+    buffer[0] = damage
+    np.multiply(rates, hours[:, None, None], out=buffer[1:])
+    return np.add.accumulate(buffer, axis=0)[-1].copy()
+
+
+def _finite_non_negative(values: np.ndarray) -> np.ndarray:
+    """Elementwise ``0 <= value < inf``; NaN fails both comparisons."""
+    return (values >= 0.0) & (values < np.inf)

@@ -14,8 +14,7 @@ one time-averaged FIT number.  This package models lifetime as a
 - :mod:`repro.lifetime.adversary` — seeded random/greedy/annealed search
   for wear-maximizing schedules the controller must survive;
 - :mod:`repro.lifetime.distributions` — the static lifetime
-  distributions and Monte Carlo series-system solver (formerly
-  ``repro.core.lifetime``).
+  distributions and Monte Carlo series-system solver.
 
 Quickstart::
 
@@ -43,10 +42,11 @@ from repro.lifetime.distributions import (
     sofr_series_mttf,
 )
 
-# The simulator and adversary import the controller/redundancy layer,
-# which itself imports the distributions above through the
-# ``repro.core.lifetime`` shim — so they must load lazily (PEP 562) to
-# keep that shim cycle-free.
+# The simulator and adversary import ``repro.core.controllers``, which
+# imports ``repro.core.redundancy``, which imports
+# ``repro.lifetime.distributions`` — and so runs this package first.
+# Loading them eagerly here would close that cycle, so they load lazily
+# (PEP 562).
 _LAZY = {
     "AdversaryResult": "repro.lifetime.adversary",
     "AdversarySearch": "repro.lifetime.adversary",

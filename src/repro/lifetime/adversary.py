@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import LifetimeError
+from repro.kernels.wear import accrue
 from repro.lifetime.simulator import LifetimeSimulator
 from repro.workloads.generator import MissionEpoch, MissionSchedule, random_mission
 
@@ -81,9 +82,10 @@ class _IncrementalEval:
     def __init__(self, search: "AdversarySearch", epochs: list[MissionEpoch]) -> None:
         self.search = search
         self.epochs = epochs
-        self.matrix = np.zeros_like(search._rate_for(epochs[0]))
-        for epoch in epochs:
-            self.matrix = self.matrix + search._rate_for(epoch) * epoch.hours
+        rates = np.stack([search._rate_for(epoch) for epoch in epochs])
+        self.matrix = accrue(
+            np.zeros(rates.shape[1:]), rates, [epoch.hours for epoch in epochs]
+        )
 
     def objective(self) -> float:
         if self.search.objective == "peak":

@@ -19,7 +19,7 @@ hold *bitwise*, not just approximately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -105,9 +105,18 @@ class WearState:
 
     def accrue(self, rates: np.ndarray, hours: float) -> None:
         """Fold one epoch at constant ``rates`` (damage/hour) for ``hours``."""
-        self.damage = accrue(self.damage, np.asarray(rates, dtype=np.float64), hours)
-        self.hours += hours
-        self.epochs += 1
+        self.fold(np.asarray(rates, dtype=np.float64)[None], (hours,))
+
+    def fold(self, rates: np.ndarray, hours: Sequence[float]) -> None:
+        """Fold ``len(hours)`` epochs, rates stacked ``(n, M, S)``.
+
+        Bitwise the same as accruing them one by one; if any epoch is
+        invalid, the state is left untouched.
+        """
+        self.damage = accrue(self.damage, rates, hours)
+        for epoch_hours in hours:
+            self.hours += epoch_hours
+        self.epochs += len(hours)
 
     def reset_structure(self, structure: str) -> None:
         """Zero a structure's accrued wear (a spare was swapped in)."""

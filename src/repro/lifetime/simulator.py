@@ -4,12 +4,14 @@ Integrates a :class:`~repro.workloads.generator.MissionSchedule` — a
 phased workload history spanning months to decades — into a
 :class:`~repro.lifetime.damage.WearState`, one epoch at a time:
 
-- **vectorized physics, scalar fold**: every distinct (application,
+- **vectorized physics, stacked fold**: every distinct (application,
   microarch config) pair is evaluated *once* over the whole DVS grid via
   :meth:`Platform.evaluate_batch`, yielding a cached table of
   per-(mechanism, structure) damage rates (:class:`RateTable`); each
-  epoch then costs one elementwise multiply-add, so decade-long horizons
-  run in milliseconds;
+  epoch then costs one elementwise multiply-add, and the open-loop fold
+  adds :data:`FOLD_CHUNK_EPOCHS` epochs per ``np.add.accumulate`` pass
+  (:func:`repro.kernels.wear.accrue`), so decade-long horizons run in
+  milliseconds;
 - **closed loop**: with a :class:`~repro.core.controllers.WearAwareController`
   attached, each epoch walks the degradation ladder — derate frequency,
   swap a cold spare, shed half a structure, or declare end-of-life
@@ -55,6 +57,11 @@ from repro.workloads.suite import workload_by_name
 #: means the controller is cycling and is reported as an error.
 MAX_LADDER_RUNGS = 16
 
+#: Epochs per stacked fold in :meth:`LifetimeSimulator.open_loop`: large
+#: enough that the per-call overhead vanishes, small enough that a
+#: 30-year mission never holds its whole rate stack in memory.
+FOLD_CHUNK_EPOCHS = 512
+
 
 class RateTable:
     """Lazily cached per-(app, config) wear-rate grids.
@@ -64,7 +71,9 @@ class RateTable:
     their ``(n_mechanisms, n_structures)`` rate matrix by snapping the
     requested frequency to the nearest grid point.  Laziness matters for
     resume: a run restored at epoch *k* only evaluates the (app, config)
-    pairs its remaining epochs actually touch.
+    pairs its remaining epochs actually touch.  Each entry is built once
+    with its candidate tuple and an exact-match index of its grid
+    frequencies, so an on-grid lookup is two dict hits.
     """
 
     def __init__(
@@ -98,14 +107,27 @@ class RateTable:
                 batch,
                 asymmetry_coefficient=self.damage_model.asymmetry_coefficient,
             )
-            entry = {"ops": ops, "rates": rates, "ips": batch.ips}
+            on_grid: dict[float, int] = {}
+            for index, op in enumerate(ops):
+                on_grid.setdefault(op.frequency_hz, index)
+            entry = {
+                "ops": ops,
+                "rates": rates,
+                "on_grid": on_grid,
+                "candidates": tuple(
+                    (op, float(rates[i].sum())) for i, op in enumerate(ops)
+                ),
+            }
             self._entries[key] = entry
         return entry
 
     def _index(self, entry: dict[str, Any], frequency_hz: float) -> int:
-        ops: tuple[OperatingPoint, ...] = entry["ops"]
-        gaps = [abs(op.frequency_hz - frequency_hz) for op in ops]
-        return gaps.index(min(gaps))
+        index = entry["on_grid"].get(frequency_hz)
+        if index is None:
+            # Off grid: the nearest point, the first one on a tie.
+            gaps = [abs(op.frequency_hz - frequency_hz) for op in entry["ops"]]
+            index = gaps.index(min(gaps))
+        return index
 
     def rates_for(
         self, app: str, config: MicroarchConfig, frequency_hz: float
@@ -125,11 +147,7 @@ class RateTable:
         self, app: str, config: MicroarchConfig
     ) -> tuple[tuple[OperatingPoint, float], ...]:
         """Every grid point with its predicted total damage rate."""
-        entry = self._entry(app, config)
-        rates = entry["rates"]
-        return tuple(
-            (op, float(rates[i].sum())) for i, op in enumerate(entry["ops"])
-        )
+        return self._entry(app, config)["candidates"]
 
 
 @dataclass
@@ -231,13 +249,19 @@ class LifetimeSimulator:
         no telemetry, no faults.  This is the fast path the adversary
         evaluates thousands of schedules through, and the reference the
         split-additivity property is asserted against (folding ``A + B``
-        equals folding ``A`` then ``B``, bitwise)."""
+        equals folding ``A`` then ``B``, bitwise).  Epochs are folded
+        :data:`FOLD_CHUNK_EPOCHS` at a time; if an epoch is invalid, its
+        chunk is not folded."""
         state = state if state is not None else WearState.fresh()
-        for epoch in schedule.epochs:
-            rates = self.rate_table.rates_for(
-                epoch.app, self.base_config, epoch.frequency_hz
+        rates_for = self.rate_table.rates_for
+        config = self.base_config
+        epochs = schedule.epochs
+        for start in range(0, len(epochs), FOLD_CHUNK_EPOCHS):
+            chunk = epochs[start : start + FOLD_CHUNK_EPOCHS]
+            state.fold(
+                np.stack([rates_for(e.app, config, e.frequency_hz) for e in chunk]),
+                [e.hours for e in chunk],
             )
-            state.accrue(rates, epoch.hours)
         return state
 
     # ---- checkpoint plumbing -------------------------------------------
@@ -404,6 +428,7 @@ class LifetimeSimulator:
         result = LifetimeResult(state=state, run_id=run_id, resumed_from=resumed_from)
         trace: list[tuple[int, float, float]] = []
         injector = active_injector()
+        sheddable = _sheddable(config)
         end_of_life = False
         eol_epoch: int | None = None
         epochs_run = 0
@@ -441,11 +466,6 @@ class LifetimeSimulator:
 
                 chosen: OperatingPoint | None = None
                 for _rung in range(MAX_LADDER_RUNGS):
-                    sheddable = frozenset(
-                        s
-                        for s in ("window", "ialu", "fpu")
-                        if shed_structure(config, s) is not None
-                    )
                     decision = controller.decide(
                         elapsed_hours=state.hours,
                         epoch_hours=epoch.hours,
@@ -485,6 +505,7 @@ class LifetimeSimulator:
                                 structure=decision.structure,
                             )
                         config = shrunk
+                        sheddable = _sheddable(config)
                         sheds.append(decision.structure)
                         continue
                     if decision.action == "end_of_life":
@@ -551,3 +572,10 @@ class LifetimeSimulator:
         result.config = config
         result.trace = tuple(trace)
         return result
+
+
+def _sheddable(config: MicroarchConfig) -> frozenset[str]:
+    """The structures the shed rung can still shrink in ``config``."""
+    return frozenset(
+        s for s in ("window", "ialu", "fpu") if shed_structure(config, s) is not None
+    )

@@ -25,6 +25,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -354,8 +355,13 @@ class MissionSchedule:
 
         Frequencies and hours are serialised via ``repr`` (exact for
         float64), so two schedules share a digest iff they are
-        bit-identical — the property checkpoint resume relies on.
+        bit-identical — the property checkpoint resume relies on.  The
+        schedule is immutable, so the hash is computed once and cached.
         """
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         canon = [[e.app, repr(e.frequency_hz), repr(e.hours)] for e in self.epochs]
         blob = json.dumps(canon, separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.fit import FitAccount
-from repro.core.lifetime import (
+from repro.lifetime.distributions import (
     ExponentialLifetime,
     LognormalLifetime,
     WeibullLifetime,

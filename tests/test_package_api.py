@@ -44,7 +44,7 @@ class TestSubpackageExports:
         "module",
         [
             "repro.core.intra", "repro.core.online", "repro.core.combined",
-            "repro.core.scaling", "repro.core.tradeoff", "repro.core.lifetime",
+            "repro.core.scaling", "repro.core.tradeoff",
             "repro.core.budget", "repro.core.sensors", "repro.core.controllers",
             "repro.harness.validation", "repro.workloads.analysis",
             "repro.workloads.tracefile", "repro.thermal.report", "repro.cli",

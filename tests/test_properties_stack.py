@@ -14,7 +14,7 @@ from repro.config.dvs import DEFAULT_VF_CURVE, OperatingPoint
 from repro.config.microarch import BASE_MICROARCH
 from repro.config.technology import STRUCTURE_NAMES
 from repro.constants import AMBIENT_TEMPERATURE_K
-from repro.core.lifetime import (
+from repro.lifetime.distributions import (
     ExponentialLifetime,
     LognormalLifetime,
     WeibullLifetime,

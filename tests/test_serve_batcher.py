@@ -164,19 +164,23 @@ class TestOversized:
 
         async def scenario():
             batcher = make_echo_batcher(batches, max_batch=3, max_delay_s=10.0)
-            results = await asyncio.gather(
-                batcher.submit("a", weight=2),
-                batcher.submit("b", weight=2),
-                batcher.submit("c", weight=2),
-            )
+            submits = [
+                asyncio.ensure_future(batcher.submit(item, weight=2))
+                for item in "abc"
+            ]
+            await asyncio.sleep(0)
+            # ``c`` is left below the size trigger; closing drains it
+            # through the same capped path instead of waiting out the
+            # 10 s deadline.
             await batcher.close()
-            return results
+            return await asyncio.gather(*submits), batcher.stats
 
-        results = run(scenario())
+        results, stats = run(scenario())
         assert results == ["r:a", "r:b", "r:c"]
-        assert all(
-            sum(2 for _ in batch) <= 4 for batch in batches
-        )  # never three 2-weight items in one flush
+        # Two 2-weight items exceed max_batch = 3: one item per flush.
+        assert all(2 * len(batch) <= 3 for batch in batches)
+        assert batches == [["a"], ["b"], ["c"]]
+        assert stats.flushes == 3
 
 
 class TestFailureFanOut:
