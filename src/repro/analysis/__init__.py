@@ -1,12 +1,13 @@
 """Physics-aware static analysis for the repro codebase.
 
 An AST-based rule suite that enforces the invariants the type system
-cannot see: unit-suffix naming (RPR001), cache-key determinism
-(RPR002), process-pool picklability (RPR003), no raw float equality
-(RPR004), single-spelling paper constants (RPR005), and no broad
-excepts (RPR006), plus the unit-dataflow (RPR1xx), concurrency (RPR2xx)
-and numeric-safety (RPR3xx) families.  Run it as ``python -m repro
-analyze``; every unsuppressed finding fails the run.
+cannot see: unit-suffix naming (RPR001), no raw float equality
+(RPR004), single-spelling paper constants (RPR005), no broad excepts
+(RPR006), no unlocked shared writes on thread-reachable paths
+(RPR201), and the numeric-safety and hot-path family (RPR301, RPR303,
+RPR311, RPR312).  Every rule has a real defect of this repository in
+the regression corpus (``tests/analysis_corpus``).  Run it as
+``python -m repro analyze``; every unsuppressed finding fails the run.
 
 Library entry points::
 

@@ -1,6 +1,6 @@
 """Interprocedural call-graph construction over the ``repro`` tree.
 
-The concurrency rules (RPR201–205) are reachability problems: a dict
+The concurrency rule (RPR201) is a reachability problem: a dict
 write is only a race if the writing function can *run on a worker
 thread*, and that fact lives two or three calls away from the write.
 This module supplies the reachability substrate in two stages:
@@ -9,9 +9,8 @@ This module supplies the reachability substrate in two stages:
    its AST as plain JSON-able data (and therefore cacheable by content
    hash, exactly like the unit-signature harvest): every function's
    calls, attribute writes, lock acquisitions (``with`` / ``async
-   with`` scopes), resource acquisitions, async coloring, local
-   variable types, plus the file's classes, attribute types, and import
-   aliases.
+   with`` scopes), async coloring, local variable types, plus the
+   file's classes, attribute types, and import aliases.
 
 2. :meth:`CallGraph.build` — the merged, project-wide graph.  Raw call
    expressions are resolved against the harvested definitions:
@@ -41,14 +40,15 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.imports import tree_nodes
+from repro.analysis.imports import build_import_map, dotted_name
 
 #: Bump when the harvest payload shape or the resolution semantics
 #: change; part of the analyzer's call-graph-pass cache key.
-CALLGRAPH_VERSION = 1
+#: v2: no resource, join, escape, await or ``with``-record facts.
+CALLGRAPH_VERSION = 2
 
 #: Container constructors that produce known non-thread-safe mutable
-#: values (the types RPR201/RPR203 reason about).
+#: values (the attribute types the concurrency model resolves).
 _CONTAINER_TYPES = {
     "dict": "dict",
     "list": "list",
@@ -91,20 +91,6 @@ MUTATOR_METHODS = frozenset(
     }
 )
 
-#: Resource-acquiring callables RPR205 tracks, by resolved dotted name.
-RESOURCE_TYPES = {
-    "open": "file",
-    "socket.socket": "socket",
-    "socket.create_connection": "socket",
-    "ThreadPoolExecutor": "executor",
-    "ProcessPoolExecutor": "executor",
-    "concurrent.futures.ThreadPoolExecutor": "executor",
-    "concurrent.futures.ProcessPoolExecutor": "executor",
-}
-
-#: Methods that release a tracked resource.
-RESOURCE_RELEASERS = frozenset({"close", "shutdown", "terminate"})
-
 #: Method names too generic for the unique-name fallback: binding
 #: ``pending.add(...)`` to the one project class that happens to define
 #: ``add`` invents edges (and with them, false thread coloring).
@@ -116,39 +102,6 @@ _FALLBACK_DENY = MUTATOR_METHODS | frozenset(
         "cancel", "wait", "next", "open", "stop", "reset", "flush",
     }
 )
-
-
-def dotted_expr(node: ast.expr) -> str | None:
-    """``a.b.c`` for a plain name/attribute chain, else ``None``."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_expr(node.value)
-        return f"{base}.{node.attr}" if base else None
-    return None
-
-
-def _import_aliases(tree: ast.Module, module: str | None) -> dict[str, str]:
-    """Local name -> fully dotted target for every import in the file."""
-    package_parts = module.split(".")[:-1] if module else []
-    out: dict[str, str] = {}
-    for node in tree_nodes(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                out[local] = alias.name if alias.asname else alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                anchor = package_parts[: len(package_parts) - (node.level - 1)]
-                base = ".".join(
-                    anchor + ([node.module] if node.module else [])
-                )
-            for alias in node.names:
-                local = alias.asname or alias.name
-                out[local] = f"{base}.{alias.name}" if base else alias.name
-    return out
 
 
 def _value_type_expr(node: ast.expr | None) -> str | None:
@@ -176,12 +129,12 @@ def _value_type_expr(node: ast.expr | None) -> str | None:
     if isinstance(node, ast.IfExp):
         return _value_type_expr(node.body) or _value_type_expr(node.orelse)
     if isinstance(node, ast.Call):
-        name = dotted_expr(node.func)
+        name = dotted_name(node.func)
         return f"call:{name}" if name else None
     if isinstance(node, ast.Name):
         return f"var:{node.id}"
     if isinstance(node, ast.Attribute):
-        dotted = dotted_expr(node)
+        dotted = dotted_name(node)
         if dotted and dotted.startswith("self.") and dotted.count(".") == 1:
             return f"attr:{dotted.split('.', 1)[1]}"
     return None
@@ -203,7 +156,7 @@ def _annotation_type(node: ast.expr | None) -> str | None:
                 return _annotation_type(side)
     if isinstance(node, ast.Subscript):
         return _annotation_type(node.value)
-    dotted = dotted_expr(node)
+    dotted = dotted_name(node)
     return f"ann:{dotted}" if dotted else None
 
 
@@ -218,21 +171,14 @@ class _FunctionHarvester:
         self.is_async = isinstance(node, ast.AsyncFunctionDef)
         self.calls: list[dict] = []
         self.writes: list[dict] = []
-        self.withs: list[dict] = []
-        self.resources: list[dict] = []
         self.nested: list[str] = []
         self.vartypes: dict[str, str] = {}
         self.returns: list[str] = []
         self.global_decls: set[str] = set()
-        self.closes: set[str] = set()
-        self.with_vars: set[str] = set()
-        self.joined: set[str] = set()
-        self.escaped: set[str] = set()
-        self.awaits: list[int] = []
         self.self_reads: set[str] = set()
         self.decorators: list[str] = []
         for dec in node.decorator_list:
-            dotted = dotted_expr(dec.func if isinstance(dec, ast.Call) else dec)
+            dotted = dotted_name(dec.func if isinstance(dec, ast.Call) else dec)
             if dotted is not None:
                 self.decorators.append(dotted)
         for arg in [*node.args.posonlyargs, *node.args.args,
@@ -243,22 +189,19 @@ class _FunctionHarvester:
 
     # ---- helpers -------------------------------------------------------
 
-    def _record_call(self, call: ast.Call, locks: list[str],
-                     awaited: bool, dropped: bool) -> None:
+    def _record_call(self, call: ast.Call, locks: list[str]) -> None:
         func = call.func
-        name = dotted_expr(func)
+        name = dotted_name(func)
         recv_call = None
         attr = None
         if name is None and isinstance(func, ast.Attribute):
             attr = func.attr
             if isinstance(func.value, ast.Call):
-                recv_call = dotted_expr(func.value.func)
+                recv_call = dotted_name(func.value.func)
         rec: dict = {
             "name": name,
             "line": call.lineno,
             "col": call.col_offset + 1,
-            "await": awaited,
-            "dropped": dropped,
             "locks": list(locks),
         }
         if recv_call is not None:
@@ -281,8 +224,8 @@ class _FunctionHarvester:
 
         def arg_expr(node: ast.expr) -> str | None:
             if isinstance(node, ast.Call):
-                return dotted_expr(node.func)
-            return dotted_expr(node)
+                return dotted_name(node.func)
+            return dotted_name(node)
 
         last = name.rsplit(".", 1)[-1]
         if last == "run_in_executor" and len(call.args) >= 2:
@@ -312,12 +255,12 @@ class _FunctionHarvester:
         """Record a write to ``self.<attr>[...]`` or a module global."""
         vtype = _value_type_expr(value)
         if isinstance(target, ast.Subscript):
-            base = dotted_expr(target.value)
+            base = dotted_name(target.value)
             if base is None:
                 return
             self._record_dotted_write(base, "item", locks, vtype, line, col)
             return
-        dotted = dotted_expr(target)
+        dotted = dotted_name(target)
         if dotted is None:
             return
         if isinstance(target, ast.Name):
@@ -352,28 +295,14 @@ class _FunctionHarvester:
                 "line": line, "col": col,
             })
 
-    def _record_resource(self, call: ast.Call, assigned: str | None,
-                         in_with: bool) -> None:
-        name = dotted_expr(call.func)
-        if name is None:
-            return
-        rec_type = RESOURCE_TYPES.get(name)
-        if rec_type is None:
-            return
-        self.resources.append({
-            "type": rec_type, "ctor": name, "line": call.lineno,
-            "col": call.col_offset + 1, "assigned": assigned,
-            "in_with": in_with,
-        })
-
     # ---- the walk ------------------------------------------------------
 
     def harvest(self) -> dict:
         for stmt in self.node.body:
             self._walk_stmt(stmt, [])
-        # Whole-body sweep for self-attribute *reads* (property edges)
-        # and generator escapes; nested defs share ``self``, so charging
-        # their reads to the outer function only widens reachability.
+        # Whole-body sweep for self-attribute *reads* (property edges);
+        # nested defs share ``self``, so charging their reads to the
+        # outer function only widens reachability.
         for sub in ast.walk(self.node):
             if (
                 isinstance(sub, ast.Attribute)
@@ -382,25 +311,14 @@ class _FunctionHarvester:
                 and isinstance(sub.ctx, ast.Load)
             ):
                 self.self_reads.add(sub.attr)
-            elif isinstance(sub, (ast.Yield, ast.YieldFrom)) and \
-                    sub.value is not None:
-                yielded = dotted_expr(sub.value)
-                if yielded is not None:
-                    self.escaped.add(yielded)
         return {
             "async": self.is_async,
             "line": self.node.lineno,
             "calls": self.calls,
             "writes": self.writes,
-            "withs": self.withs,
-            "resources": self.resources,
             "nested": self.nested,
             "vartypes": self.vartypes,
             "returns": self.returns,
-            "closes": sorted(self.closes),
-            "with_vars": sorted(self.with_vars),
-            "joined": sorted(self.joined),
-            "escaped": sorted(self.escaped),
             "self_reads": sorted(self.self_reads),
             "decorators": self.decorators,
         }
@@ -417,10 +335,6 @@ class _FunctionHarvester:
             for target in stmt.targets:
                 self._record_write(target, "assign", locks, stmt.value,
                                    stmt.lineno, stmt.col_offset + 1)
-            resource = stmt.value if isinstance(stmt.value, ast.Call) else None
-            if resource is not None and len(stmt.targets) == 1:
-                assigned = dotted_expr(stmt.targets[0])
-                self._record_resource(resource, assigned, in_with=False)
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             self._record_write(stmt.target, "assign", locks, stmt.value,
                                stmt.lineno, stmt.col_offset + 1)
@@ -428,9 +342,6 @@ class _FunctionHarvester:
                 ann = _annotation_type(stmt.annotation)
                 if ann is not None:
                     self.vartypes.setdefault(stmt.target.id, ann)
-            if isinstance(stmt.value, ast.Call):
-                self._record_resource(stmt.value, dotted_expr(stmt.target),
-                                      in_with=False)
         elif isinstance(stmt, ast.AugAssign):
             self._record_write(stmt.target, "aug", locks, None,
                                stmt.lineno, stmt.col_offset + 1)
@@ -443,9 +354,6 @@ class _FunctionHarvester:
             rtype = _value_type_expr(stmt.value)
             if rtype is not None:
                 self.returns.append(rtype)
-            returned = dotted_expr(stmt.value)
-            if returned is not None:
-                self.escaped.add(returned)
         elif isinstance(stmt, ast.Global):
             self.global_decls.update(stmt.names)
         for child in ast.iter_child_nodes(stmt):
@@ -457,74 +365,29 @@ class _FunctionHarvester:
 
     def _walk_with(self, stmt: ast.With | ast.AsyncWith,
                    locks: list[str]) -> None:
-        is_async = isinstance(stmt, ast.AsyncWith)
         held = list(locks)
-        wrecs: list[dict] = []
         for item in stmt.items:
             ctx = item.context_expr
             if isinstance(ctx, ast.Call):
                 self._scan_call_tree(ctx, locks)
-                self._record_resource(ctx, dotted_expr(item.optional_vars)
-                                      if item.optional_vars else None,
-                                      in_with=True)
-                expr = dotted_expr(ctx.func)
+                expr = dotted_name(ctx.func)
             else:
-                expr = dotted_expr(ctx)
-                if expr is not None:
-                    self.with_vars.add(expr)
+                expr = dotted_name(ctx)
             if expr is not None:
-                wrec = {"expr": expr, "line": stmt.lineno,
-                        "async": is_async, "awaits": []}
-                wrecs.append(wrec)
-                self.withs.append(wrec)
                 held.append(expr)
-        awaits_before = len(self.awaits)
         for sub in stmt.body:
             self._walk_stmt(sub, held)
-        inner_awaits = self.awaits[awaits_before:]
-        for wrec in wrecs:
-            wrec["awaits"] = list(inner_awaits)
 
     def _scan_exprs(self, stmt: ast.stmt, locks: list[str]) -> None:
-        """Record calls/awaits in the statement's own expressions."""
+        """Record the calls in the statement's own expressions."""
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.expr):
-                self._scan_call_tree(child, locks,
-                                     top_stmt=stmt if isinstance(stmt, ast.Expr)
-                                     else None)
+                self._scan_call_tree(child, locks)
 
-    def _scan_call_tree(self, expr: ast.expr, locks: list[str],
-                        top_stmt: ast.Expr | None = None) -> None:
-        awaited_calls: set[int] = set()
+    def _scan_call_tree(self, expr: ast.expr, locks: list[str]) -> None:
         for node in ast.walk(expr):
-            if isinstance(node, ast.Await):
-                self.awaits.append(node.lineno)
-                if isinstance(node.value, ast.Call):
-                    awaited_calls.add(id(node.value))
-            elif isinstance(node, ast.Lambda):
-                continue
-        for node in ast.walk(expr):
-            if not isinstance(node, ast.Call):
-                continue
-            awaited = id(node) in awaited_calls
-            dropped = (
-                top_stmt is not None
-                and top_stmt.value is node
-                and not awaited
-            )
-            self._record_call(node, locks, awaited, dropped)
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                recv = dotted_expr(func.value)
-                if recv is not None:
-                    if func.attr in RESOURCE_RELEASERS:
-                        self.closes.add(recv)
-                    elif func.attr == "join":
-                        self.joined.add(recv)
-            for arg in [*node.args, *[k.value for k in node.keywords]]:
-                passed = dotted_expr(arg)
-                if passed is not None:
-                    self.escaped.add(passed)
+            if isinstance(node, ast.Call):
+                self._record_call(node, locks)
 
 
 def harvest_callgraph(tree: ast.Module, module: str | None) -> dict:
@@ -574,7 +437,7 @@ def harvest_callgraph(tree: ast.Module, module: str | None) -> dict:
                     fields.setdefault(sub.targets[0].id, vtype)
         classes[f"{prefix}{node.name}"] = {
             "line": node.lineno,
-            "bases": [b for b in (dotted_expr(base) for base in node.bases)
+            "bases": [b for b in (dotted_name(base) for base in node.bases)
                       if b is not None],
             "fields": fields,
         }
@@ -593,7 +456,7 @@ def harvest_callgraph(tree: ast.Module, module: str | None) -> dict:
     return {
         "functions": functions,
         "classes": classes,
-        "imports": _import_aliases(tree, module),
+        "imports": build_import_map(tree, module),
         "globals": sorted(module_globals),
         "global_types": global_types,
     }
@@ -615,14 +478,12 @@ class Edge:
             (``Thread(target=...)``), ``executor``
             (``run_in_executor`` / thread-pool ``submit``), ``partial``,
             ``closure``, or ``callback`` (``call_soon`` family).
-        awaited: whether the call site awaits the result.
     """
 
     caller: str
     callee: str
     line: int
     kind: str
-    awaited: bool = False
 
 
 @dataclass
@@ -948,8 +809,7 @@ class CallGraph:
                 if rtype is not None and rtype in self.classes:
                     target = self._method_on(rtype, rec["attr"])
         if target is not None:
-            self.edges.append(Edge(qual, target, rec["line"], "call",
-                                   awaited=rec.get("await", False)))
+            self.edges.append(Edge(qual, target, rec["line"], "call"))
         wrapped = rec.get("target")
         if wrapped is not None:
             kind = rec["tkind"]

@@ -55,8 +55,10 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
         help="run the physics-aware static-analysis suite",
         description=(
             "AST-based checks for the repo's silent invariants: unit "
-            "suffixes, cache-key determinism, pool safety, float "
-            "equality, paper-constant duplication, broad excepts."
+            "suffixes, float equality, paper-constant duplication, "
+            "broad excepts, unlocked shared writes on thread-reachable "
+            "paths, reachable divide-by-zero/log/sqrt domain errors, "
+            "unguarded NaN flow and hot-path array idioms."
         ),
     )
     p.add_argument("paths", nargs="*", default=None,
@@ -72,7 +74,7 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
                    help="comma-separated rule ids to skip")
     p.add_argument("--rules", default=None, metavar="PATTERNS",
                    help="comma-separated rule-id globs to run (e.g. "
-                        "RPR2xx, RPR10?, RPR*); x/X match any digit. "
+                        "RPR2xx, RPR30?, RPR*); x/X match any digit. "
                         "Combines with --select; exit codes unchanged")
     p.add_argument("--list-rules", action="store_true",
                    help="print the registered rules and exit")
@@ -234,11 +236,6 @@ def run_analyze(args: argparse.Namespace) -> int:
             line += (
                 f" [callgraph: {stats['callgraph_pass']} in "
                 f"{stats['callgraph_pass_s']:.3f}s]"
-            )
-        if stats["range_rules"]:
-            line += (
-                f" [range: {stats['range_pass']} in "
-                f"{stats['range_pass_s']:.3f}s]"
             )
         print(line, file=sys.stderr)
 

@@ -1,7 +1,7 @@
 """Escape analysis and lock-domain tracking over the call graph.
 
 Built on :mod:`repro.analysis.callgraph`, this module answers the
-questions the RPR2xx rules ask:
+questions RPR201 asks:
 
 - **Coloring** — which functions can run on the event loop (every
   ``async def`` plus everything reachable from one through plain calls,
@@ -28,8 +28,8 @@ The lattice a (class, attribute) lands in:
 
     per-thread-confined  <  loop-confined  <  shared-with-locks  <  shared-unlocked
 
-Only the last is a finding (RPR201); the rules in
-:mod:`repro.analysis.rules.concurrency_rules` walk this model rather
+Only the last is a finding (RPR201); the rule in
+:mod:`repro.analysis.rules.concurrency_rules` walks this model rather
 than ASTs.
 """
 
@@ -47,9 +47,6 @@ _EXEMPT_ATTR_TYPES = {"lock", "asynclock", "local", "threadpool",
 
 #: Functions where writes are construction, not mutation.
 _INIT_METHODS = {"__init__", "__post_init__", "__set_name__"}
-
-#: Resolved types counted as known-non-thread-safe containers (RPR203).
-_CONTAINER_KINDS = {"dict", "list", "set"}
 
 
 @dataclass(frozen=True)
@@ -258,8 +255,7 @@ class ConcurrencyModel:
                         in_init=in_init,
                     )
                 )
-        # Lock-typed attributes per class, for RPR203's "has any lock
-        # at all" test and RPR201's exemptions.
+        # Lock-typed attributes per class.
         for cqual, cinfo in self.graph.classes.items():
             locks = {
                 attr
@@ -300,27 +296,6 @@ class ConcurrencyModel:
             held = set(site.locks)
             domain = held if domain is None else domain & held
         return domain or set()
-
-    def class_is_thread_unsafe(self, cqual: str) -> str | None:
-        """The attr making ``cqual`` unsafe to share across threads.
-
-        A class is flagged when it mutates a container-typed attribute
-        outside construction with no lock held at some site *and* owns
-        no lock attribute at all (owning one implies a discipline the
-        flow-insensitive check should not second-guess).
-        """
-        if self.class_locks.get(cqual):
-            return None
-        for (owner, attr), sites in self.writes.items():
-            if owner != cqual:
-                continue
-            atype = self.graph.attr_type(cqual, attr)
-            if atype not in _CONTAINER_KINDS:
-                continue
-            for site in self.interesting_sites(sites):
-                if not site.locks:
-                    return attr
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,27 @@
 """The analysis driver: one serial pass, cached by content.
 
 :class:`Analyzer` reads every target file once, hashes its bytes, and
-splits the run into four layers cached in the engine's content-addressed
-:class:`~repro.engine.store.ResultStore` (``<root>/.repro-cache/analysis``
-unless ``cache_dir`` names another directory):
+splits the run into three layers cached in the engine's
+content-addressed :class:`~repro.engine.store.ResultStore`
+(``<root>/.repro-cache/analysis`` unless ``cache_dir`` names another
+directory):
 
-1. **Harvest** (per file, keyed by path + content hash): import edges,
-   unit signatures, call-graph facts and the suppression map.  A warm
-   run rebuilds the import graph and the signature table without
-   parsing an unchanged file.
+1. **Harvest** (per file, keyed by path + content hash): unit
+   signatures, call-graph facts and the suppression map.  A warm run
+   rebuilds the signature table without parsing an unchanged file.
 2. **Rule results** (per file, keyed by content hash + rule ids +
-   :data:`RULESET_VERSION` + determinism-scope flags + signature-table
-   digest): the file rules' findings and suppressed findings.
+   :data:`RULESET_VERSION` + signature-table digest): the file rules'
+   findings and suppressed findings.
 3. **Call-graph pass** (one entry, keyed by every non-test file's
    call-graph facts and suppression map + the signature digest): the
-   interprocedural concurrency findings (RPR2xx).
-4. **Range pass**: per-file interval facts (keyed by content hash) and
-   one project entry keyed by those facts + the suppression maps + the
-   signature digest, which covers the declared ``PHYSICAL_RANGES``
-   table.  This backs RPR302.
+   interprocedural concurrency findings (RPR201).
 
 A file is parsed only when one of its layers misses, and then only once:
-the same tree serves its harvest, its rules and its interval facts.
-Because the signature digest is part of every rule-result key, an edit
-that changes a function's *signature* re-checks the whole tree (the
-cross-module rules may change anywhere), while a body-only edit
-re-checks exactly one file.
+the same tree serves its harvest and its rules.  Because the signature
+digest (which covers the declared ``PHYSICAL_RANGES`` table) is part of
+every rule-result key, an edit that changes a function's *signature* or
+an envelope re-checks the whole tree (the interval pass seeds values
+from them anywhere), while a body-only edit re-checks exactly one file.
 
 Files that cannot be read or parsed produce an ``RPR000`` finding rather
 than aborting the run.
@@ -41,20 +37,9 @@ from pathlib import Path
 
 from repro.analysis.callgraph import CALLGRAPH_VERSION, harvest_callgraph
 from repro.analysis.concurrency import ProjectSnapshot, run_project_rules
-from repro.analysis.dataflow import analyze_units
 from repro.analysis.findings import AnalysisResult, Finding, Severity
-from repro.analysis.imports import (
-    ImportGraph,
-    imported_modules,
-    module_name_for,
-    rel_posix,
-)
-from repro.analysis.intervals import (
-    INTERVALS_VERSION,
-    analyze_intervals,
-    harvest_interval_facts,
-    run_range_pass,
-)
+from repro.analysis.imports import module_name_for, rel_posix
+from repro.analysis.intervals import analyze_intervals
 from repro.analysis.registry import Rule, select_rules
 from repro.analysis.suppressions import SuppressionIndex, parse_suppressions
 from repro.analysis.unitsig import (
@@ -65,26 +50,22 @@ from repro.analysis.unitsig import (
 from repro.engine.jobs import content_hash
 from repro.engine.store import ResultStore
 
-#: Modules whose import closure the determinism rule polices: everything
-#: that can influence a job spec's content hash or its worker-side
-#: recomputation.
-DETERMINISM_ROOTS = ("repro.engine.jobs",)
-
 #: Default cache location, relative to the analysis root.
 DEFAULT_CACHE_DIR = ".repro-cache/analysis"
 
 #: Bump when the harvest payload shape or semantics change.
 #: v4: test files carry no call-graph facts (they never enter the graph).
-HARVEST_VERSION = 4
+#: v5: no import edges; call-graph facts at CALLGRAPH_VERSION 2.
+HARVEST_VERSION = 5
 
 #: Bump whenever any rule's logic changes in a way that can alter its
 #: findings; cached verdicts from older rule code then read as misses.
 #: (Adding/removing rules needs no bump — the active rule ids are part
 #: of every cache key.)
-#: v3: RPR001 honours a docstring-declared dimensionless parameter;
-#: RPR302 accepts a zero default for an accumulator that the function
-#: itself validates as non-negative.
-RULESET_VERSION = 3
+#: v3: RPR001 honours a docstring-declared dimensionless parameter.
+#: v4: nine rules, each with a corpus defect; the key has no import
+#: scope.
+RULESET_VERSION = 4
 
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "venv", "build", "dist", ".eggs"}
 
@@ -93,12 +74,8 @@ _SKIP_DIRS = {"__pycache__", ".git", ".venv", "venv", "build", "dist", ".eggs"}
 class ProjectContext:
     """Whole-run state shared by every file's analysis."""
 
-    determinism_scope: set[str] = field(default_factory=set)
-    #: True when none of DETERMINISM_ROOTS exist among the analyzed
-    #: files; reachability is then unknowable and reachability-scoped
-    #: rules fall back to checking everything (fixture/sandbox mode).
-    determinism_scope_is_global: bool = False
-    #: Cross-module unit signatures for the dataflow rules (RPR101-103).
+    #: Cross-module unit signatures, values and declared ranges that
+    #: seed the interval pass (RPR301/303).
     unit_signatures: SignatureTable = field(default=EMPTY_TABLE)
 
 
@@ -120,37 +97,16 @@ class FileContext:
         """Heuristic: test files get looser treatment from src-only rules."""
         return is_test_path(self.rel_path)
 
-    @property
-    def in_determinism_scope(self) -> bool:
-        if self.project.determinism_scope_is_global:
-            return not self.is_test
-        return (
-            self.module is not None
-            and self.module in self.project.determinism_scope
-        )
-
     def line_text(self, line: int) -> str:
         if 1 <= line <= len(self.lines):
             return self.lines[line - 1]
         return ""
 
-    def unit_diagnostics(self):
-        """Unit-dataflow diagnostics for this file, computed once.
-
-        All three flow rules (RPR101-103) consume the same pass; the
-        first caller pays for the interpretation, the rest filter.
-        """
-        if self._unit_diags is None:
-            self._unit_diags = analyze_units(
-                self.tree, self.project.unit_signatures, self.module
-            )
-        return self._unit_diags
-
     def interval_diagnostics(self):
         """Interval-domain diagnostics for this file, computed once.
 
-        The numeric-safety and loop rules (RPR301/303/310) share one
-        interpretation the same way the unit rules share theirs.
+        The numeric-safety rules (RPR301/303) share one interpretation;
+        the first caller pays for it, the other filters.
         """
         if self._interval_diags is None:
             self._interval_diags = analyze_intervals(
@@ -158,15 +114,14 @@ class FileContext:
             )
         return self._interval_diags
 
-    _unit_diags: list | None = field(default=None, repr=False)
     _interval_diags: list | None = field(default=None, repr=False)
 
 
 def is_test_path(rel_path: str) -> bool:
     """Whether a repo-relative posix path names a test/bench file.
 
-    Test files never enter the call graph or the range pass — their
-    fixtures break concurrency and range discipline on purpose.
+    Test files never enter the call graph — their fixtures break
+    concurrency discipline on purpose.
     """
     parts = rel_path.split("/")
     return (
@@ -194,8 +149,6 @@ def rule_result_key(
     rel_path: str,
     digest: str,
     rule_ids: list[str],
-    in_scope: bool,
-    scope_global: bool,
     sig_hash: str,
 ) -> str:
     """Store key of one file's rule results: every input that can change them."""
@@ -206,8 +159,6 @@ def rule_result_key(
             "path": rel_path,
             "content": digest,
             "rules": rule_ids,
-            "in_scope": in_scope,
-            "scope_global": scope_global,
             "signatures": sig_hash,
         }
     )
@@ -306,7 +257,6 @@ class _SourceFile:
         module = self.module
         payload = {
             "ok": True,
-            "imports": sorted(imported_modules(tree, module)) if module else [],
             "signatures": harvest_signatures(tree, module),
             "suppress": parse_suppressions(self.lines, tree).as_payload(),
         }
@@ -393,25 +343,12 @@ class Analyzer:
                 continue
             sources.append(src)
 
-        graph = ImportGraph(
-            edges={
-                src.module: set(src.harvest["imports"])
-                for src in sources
-                if src.module
-            }
-        )
-        scope = graph.reachable_from(DETERMINISM_ROOTS)
         table = SignatureTable.merge([src.harvest["signatures"] for src in sources])
         sig_hash = content_hash(table.as_payload())
-        project = ProjectContext(
-            determinism_scope=scope,
-            determinism_scope_is_global=not scope,
-            unit_signatures=table,
-        )
+        project = ProjectContext(unit_signatures=table)
 
         file_rules = tuple(r for r in self.rules if r.scope == "file")
         project_rules = tuple(r for r in self.rules if r.scope == "project")
-        interval_rules = tuple(r for r in self.rules if r.scope == "intervals")
         analyzed, cached_files = self._file_pass(
             file_rules, sources, project, sig_hash, result
         )
@@ -426,16 +363,6 @@ class Analyzer:
             )
             callgraph_pass_s = time.perf_counter() - start
 
-        range_status = "skipped"
-        range_pass_s = 0.0
-        intervals_hits = intervals_misses = 0
-        if interval_rules:
-            start = time.perf_counter()
-            range_status, intervals_hits, intervals_misses = self._range_pass(
-                interval_rules, checked, table, sig_hash, result
-            )
-            range_pass_s = time.perf_counter() - start
-
         result.findings.sort(key=Finding.sort_key)
         result.suppressed.sort(key=Finding.sort_key)
         result.stats = {
@@ -448,11 +375,6 @@ class Analyzer:
             "callgraph_rules": len(project_rules),
             "callgraph_pass": callgraph_status,
             "callgraph_pass_s": round(callgraph_pass_s, 4),
-            "range_rules": len(interval_rules),
-            "range_pass": range_status,
-            "range_pass_s": round(range_pass_s, 4),
-            "intervals_hits": intervals_hits,
-            "intervals_misses": intervals_misses,
             "store": self.store.stats.as_dict(),
         }
         return self._filter_report(result)
@@ -469,17 +391,9 @@ class Analyzer:
     ) -> tuple[int, int]:
         """Run (or replay) every file's rules; returns (analyzed, cached)."""
         rule_ids = [rule.id for rule in file_rules]
-        scope = project.determinism_scope
         analyzed = cached = 0
         for src in sources:
-            key = rule_result_key(
-                src.rel,
-                src.digest,
-                rule_ids,
-                bool(src.module and src.module in scope),
-                project.determinism_scope_is_global,
-                sig_hash,
-            )
+            key = rule_result_key(src.rel, src.digest, rule_ids, sig_hash)
             payload = self.store.get(key)
             if payload is None:
                 analyzed += 1
@@ -597,88 +511,6 @@ class Analyzer:
         return self._replay_or_compute(
             key, "analysis_callgraph_pass", compute, result
         )
-
-    def _range_pass(
-        self,
-        interval_rules: tuple[Rule, ...],
-        checked: list[_SourceFile],
-        table: SignatureTable,
-        sig_hash: str,
-        result: AnalysisResult,
-    ) -> tuple[str, int, int]:
-        """Run (or replay) the project range check.
-
-        Returns ``(status, interval-facts hits, interval-facts misses)``.
-        The pass is keyed by every non-test file's interval facts *and*
-        suppression map, plus the signature-table digest — which covers
-        the declared physical-range table, so editing an envelope in
-        ``constants.PHYSICAL_RANGES`` recomputes it.
-        """
-        hits = misses = 0
-        facts_by_path: dict[str, dict] = {}
-        for src in checked:
-            key = content_hash(
-                {
-                    "kind": "analysis_intervals",
-                    "v": INTERVALS_VERSION,
-                    "path": src.rel,
-                    "content": src.digest,
-                }
-            )
-            facts = self.store.get(key)
-            if facts is None:
-                misses += 1
-                facts = harvest_interval_facts(src.tree, src.module, src.lines)
-                self.store.put(key, "analysis_intervals", facts)
-            else:
-                hits += 1
-            facts_by_path[src.rel] = facts
-        key = content_hash(
-            {
-                "kind": "analysis_range_pass",
-                "hv": HARVEST_VERSION,
-                "iv": INTERVALS_VERSION,
-                "rv": RULESET_VERSION,
-                "rules": [rule.id for rule in interval_rules],
-                "facts": content_hash(
-                    {
-                        src.rel: {
-                            "facts": facts_by_path[src.rel],
-                            "suppress": src.harvest["suppress"],
-                        }
-                        for src in checked
-                    }
-                ),
-                "sig": sig_hash,
-            }
-        )
-
-        def compute():
-            rule = next((r for r in interval_rules if r.id == "RPR302"), None)
-            findings: list[Finding] = []
-            suppressed: list[Finding] = []
-            if rule is None:
-                return findings, suppressed
-            suppressions = {src.rel: src.suppressions for src in checked}
-            for p in run_range_pass(facts_by_path, table):
-                finding = Finding(
-                    rule=rule.id,
-                    path=p["path"],
-                    line=p["line"],
-                    col=p["col"],
-                    message=p["message"],
-                    severity=rule.severity,
-                    snippet=p.get("snippet", ""),
-                    context=p.get("context", ""),
-                )
-                covered = suppressions[finding.path].covers(finding)
-                (suppressed if covered else findings).append(finding)
-            return findings, suppressed
-
-        status = self._replay_or_compute(
-            key, "analysis_range_pass", compute, result
-        )
-        return status, hits, misses
 
     def _filter_report(self, result: AnalysisResult) -> AnalysisResult:
         """Drop findings outside ``report_only``, when set (--changed)."""

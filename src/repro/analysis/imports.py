@@ -1,17 +1,12 @@
-"""Static import-graph reachability for scope-limited rules.
+"""Name resolution shared by the rules: modules, imports, dotted names.
 
-The determinism rule only cares about code that can influence
-``repro.engine.jobs`` cache-key construction — anything a job spec
-imports (eagerly *or* lazily inside a function body) can leak
-nondeterminism into a content hash or a worker-side recomputation.
-This module builds that reachable set from the files being analyzed,
-without importing any of them.
+Everything here reads a parsed tree or a path; nothing imports the
+code being analyzed.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
 
@@ -52,62 +47,43 @@ def tree_nodes(tree: ast.AST) -> list[ast.AST]:
     return nodes
 
 
-def imported_modules(tree: ast.AST, module: str) -> set[str]:
-    """Every module ``module``'s source imports, eager or lazy.
+def build_import_map(tree: ast.Module, module: str | None) -> dict[str, str]:
+    """Local name -> dotted import target, from one file's imports.
 
-    Relative imports resolve against ``module``'s package.  ``from m
-    import x`` contributes both ``m`` and ``m.x`` — ``x`` may be a
-    submodule, and claiming both costs nothing because unknown names
-    simply never match an analyzed file.
+    Shared by the interval interpreter and the hot-path rules; relative
+    imports are anchored at ``module``'s package.
     """
-    package_parts = module.split(".")[:-1]
-    out: set[str] = set()
-    for node in ast.walk(tree):
+    out: dict[str, str] = {}
+    package = (module or "").split(".")[:-1]
+    for node in tree_nodes(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                out.add(alias.name)
+                out[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0]
+                )
         elif isinstance(node, ast.ImportFrom):
             if node.level == 0:
                 base = node.module or ""
             else:
-                anchor = package_parts[: len(package_parts) - (node.level - 1)]
+                anchor = package[: len(package) - (node.level - 1)]
                 base = ".".join(anchor + ([node.module] if node.module else []))
-            if base:
-                out.add(base)
-                for alias in node.names:
-                    out.add(f"{base}.{alias.name}")
+            for alias in node.names:
+                out[alias.asname or alias.name] = (
+                    f"{base}.{alias.name}" if base else alias.name
+                )
     return out
 
 
-@dataclass
-class ImportGraph:
-    """Module-level import graph over the analyzed files."""
-
-    edges: dict[str, set[str]] = field(default_factory=dict)
-
-    def reachable_from(self, roots: tuple[str, ...]) -> set[str]:
-        """Transitive closure over modules present in the graph.
-
-        Importing a submodule also imports its ancestor packages, so
-        each known module's ancestors join the frontier too.
-        """
-        seen: set[str] = set()
-        frontier = [r for r in roots if r in self.edges]
-        while frontier:
-            module = frontier.pop()
-            if module in seen:
-                continue
-            seen.add(module)
-            for target in self.edges.get(module, ()):
-                candidates = [target]
-                parts = target.split(".")
-                candidates.extend(
-                    ".".join(parts[:i]) for i in range(1, len(parts))
-                )
-                for cand in candidates:
-                    if cand in self.edges and cand not in seen:
-                        frontier.append(cand)
-        return seen
+def dotted_name(node: ast.expr) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 def rel_posix(path: Path, root: Path) -> str:

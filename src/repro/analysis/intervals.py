@@ -1,16 +1,15 @@
 """Interval-domain abstract interpretation for numeric safety.
 
-The second abstract interpreter layered on the dataflow machinery: where
-:mod:`repro.analysis.dataflow` tracks *units*, this pass tracks *value
-ranges*.  Each local is bound to an :class:`Interval` over the extended
-reals (or ``None`` when unknown) and intervals propagate through
-assignments, arithmetic, ``min``/``max``/``clip``, branch conditions
-(``if x <= 0.0: raise`` narrows ``x`` to ``(0, inf)`` afterwards), and
-cross-module calls via the harvested signature table.  Parameters seed
-from the declared physical envelopes in ``constants.PHYSICAL_RANGES``:
-``temperature_k`` enters as ``[200, 500]`` kelvin, ``activity`` as
-``[0, 1]``, ``dt_s`` as ``(0, inf)`` — widened to admit a literal
-default, so ``dt_s=0.0`` enters as ``[0, inf)``.
+This pass tracks *value ranges*.  Each local is bound to an
+:class:`Interval` over the extended reals (or ``None`` when unknown)
+and intervals propagate through assignments, arithmetic,
+``min``/``max``/``clip``, branch conditions (``if x <= 0.0: raise``
+narrows ``x`` to ``(0, inf)`` afterwards), and cross-module calls via
+the harvested signature table.  Parameters seed from the declared
+physical envelopes in ``constants.PHYSICAL_RANGES``: ``temperature_k``
+enters as ``[200, 500]`` kelvin, ``activity`` as ``[0, 1]``, ``dt_s``
+as ``(0, inf)`` — widened to admit a literal default, so ``dt_s=0.0``
+enters as ``[0, inf)``.
 
 The arithmetic is *float-honest*, not real-valued: ``exp`` of an
 unbounded argument is ``[0, inf]`` with both ends **closed**, because
@@ -19,7 +18,7 @@ reachable.  That is what lets the pass prove that
 ``1.0 / (base ** e * np.exp(a))`` can divide by zero — the Arrhenius
 shape every RAMP failure model computes.
 
-Three diagnostic kinds feed the RPR30x rules:
+Two diagnostic kinds feed the RPR30x rules:
 
 - ``domain`` (RPR301): a division whose denominator interval provably
   contains zero, ``log`` of a possibly-nonpositive value, ``sqrt`` of a
@@ -31,15 +30,6 @@ Three diagnostic kinds feed the RPR30x rules:
   function with *no* guards at all (no raise/assert, no
   ``isfinite``/``nan_to_num``/``where``/``errstate``/``clip``, no
   ``validate_*`` call).
-- ``loop`` (RPR310): in the hot modules only, a Python ``for`` loop
-  whose iterable is an array (directly, or via ``zip``/``enumerate``/
-  ``range(len(...))``/``range(x.shape[...])``).
-
-The module also implements the fourth cached analysis layer:
-:func:`harvest_interval_facts` extracts one file's boundary-crossing
-numeric values (call arguments, parameter defaults, module constants)
-as plain JSON — cacheable by content hash — and :func:`run_range_pass`
-checks them against the declared envelopes project-wide (RPR302).
 """
 
 from __future__ import annotations
@@ -48,14 +38,8 @@ import ast
 import math
 from dataclasses import dataclass
 
-from repro.analysis.dataflow import build_import_map
-from repro.analysis.imports import tree_nodes
-from repro.analysis.unitsig import SignatureTable, unit_from_name
-
-#: Bump when the interval-facts payload shape or the interpretation
-#: semantics change; cached harvests and range passes then read as
-#: misses.
-INTERVALS_VERSION = 1
+from repro.analysis.imports import build_import_map
+from repro.analysis.unitsig import SignatureTable, numeric_literal
 
 #: Module prefixes whose code is performance- and NaN-critical.
 HOT_MODULE_PREFIXES = (
@@ -390,8 +374,7 @@ class NumericDiagnostic:
     """One numeric-safety diagnostic from the interval pass.
 
     Attributes:
-        kind: ``domain`` (RPR301), ``nanflow`` (RPR303), or ``loop``
-            (RPR310).
+        kind: ``domain`` (RPR301) or ``nanflow`` (RPR303).
         line / col: 1-based anchor of the offending expression.
         message: human-readable description with the computed interval.
     """
@@ -404,7 +387,11 @@ class NumericDiagnostic:
 
 @dataclass(frozen=True)
 class AbsVal:
-    """One abstract value: interval bounds plus an is-array flag."""
+    """One abstract value: interval bounds plus an is-array flag.
+
+    The flag keeps a method call on an array (``temps.max()``) unknown
+    instead of seeding it from the method name's envelope.
+    """
 
     iv: Interval | None = None
     array: bool = False
@@ -550,9 +537,9 @@ class IntervalInterpreter:
         for arg in [*positional, *args.kwonlyargs]:
             iv = range_to_interval(self.table.range_for_name(arg.arg))
             default = defaults.get(arg)
-            fact = _fact_value(default) if default is not None else None
-            if iv is not None and fact is not None and "value" in fact:
-                iv = iv.union(Interval.point(fact["value"]))
+            value = numeric_literal(default) if default is not None else None
+            if iv is not None and value is not None:
+                iv = iv.union(Interval.point(value))
             env[arg.arg] = AbsVal(iv, False)
         return env
 
@@ -634,8 +621,7 @@ class IntervalInterpreter:
             else:
                 self._merge_into(env, then_env, else_env)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_val = self._eval(stmt.iter, env)
-            self._check_loop(stmt, env, iter_val)
+            self._eval(stmt.iter, env)
             # Loop soundness: anything assigned in the body (or the
             # target) is unknown both inside (later iterations) and
             # after the loop.
@@ -1124,51 +1110,6 @@ class IntervalInterpreter:
                 "below zero",
             )
 
-    # ---- loops ---------------------------------------------------------
-
-    def _check_loop(self, stmt, env: dict, iter_val: AbsVal) -> None:
-        if not self.hot or not isinstance(stmt, ast.For):
-            return
-        if self._iterates_array(stmt.iter, env, iter_val):
-            self._diag(
-                "loop",
-                stmt,
-                "Python-level loop over array rows in a hot module; "
-                "vectorize with numpy operations",
-            )
-
-    def _iterates_array(
-        self, node: ast.expr, env: dict, value: AbsVal
-    ) -> bool:
-        if value.array:
-            return True
-        if not isinstance(node, ast.Call):
-            return False
-        tail = _tail_name(node.func)
-        if tail == "zip":
-            return any(
-                self._eval(a, dict(env)).array
-                for a in node.args
-                if not isinstance(a, ast.Starred)
-            )
-        if tail == "enumerate" and node.args:
-            inner = node.args[0]
-            return self._iterates_array(
-                inner, env, self._eval(inner, dict(env))
-            )
-        if tail == "range" and node.args:
-            first = node.args[0] if len(node.args) == 1 else node.args[1]
-            if isinstance(first, ast.Call) and _tail_name(first.func) == "len":
-                if first.args:
-                    return self._eval(first.args[0], dict(env)).array
-            # range(x.shape[0]) — iterating an array dimension.
-            probe = first
-            while isinstance(probe, ast.Subscript):
-                probe = probe.value
-            if isinstance(probe, ast.Attribute) and probe.attr == "shape":
-                return self._eval(probe.value, dict(env)).array
-        return False
-
 
 def _fmt(iv: Interval) -> str:
     lo = "(" if iv.lo_open else "["
@@ -1181,290 +1122,3 @@ def analyze_intervals(
 ) -> list[NumericDiagnostic]:
     """Run the interval pass over one parsed file."""
     return IntervalInterpreter(table, module).run(tree)
-
-
-# ---------------------------------------------------------------------------
-# Interval facts: the fourth cached layer (feeds RPR302).
-# ---------------------------------------------------------------------------
-
-
-def _fact_value(node: ast.expr) -> dict | None:
-    """A JSON-able locally-known value: literal or constant reference."""
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = _fact_value(node.operand)
-        if inner is not None and "value" in inner:
-            return {"value": -inner["value"]}
-        return None
-    if (
-        isinstance(node, ast.Constant)
-        and isinstance(node.value, (int, float))
-        and not isinstance(node.value, bool)
-    ):
-        return {"value": float(node.value)}
-    if isinstance(node, ast.Name) and node.id.isupper():
-        return {"ref": node.id}
-    if isinstance(node, ast.Attribute) and node.attr.isupper():
-        return {"ref": node.attr}
-    return None
-
-
-def harvest_interval_facts(
-    tree: ast.Module, module: str | None, lines: list[str]
-) -> dict:
-    """One file's boundary-crossing numeric values, JSON-ready.
-
-    Pure function of the file's content (plus its path-derived module
-    name), which is what lets the analyzer cache it by content hash.
-    Resolution against the signature/range tables happens later, in
-    :func:`run_range_pass`.
-    """
-    imports = build_import_map(tree, module)
-
-    def snippet(line: int) -> str:
-        return lines[line - 1].strip() if 1 <= line <= len(lines) else ""
-
-    consts: list[dict] = []
-    defaults: list[dict] = []
-    calls: list[dict] = []
-
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            for target in targets:
-                if not (isinstance(target, ast.Name) and target.id.isupper()):
-                    continue
-                if stmt.value is None:
-                    continue
-                fact = _fact_value(stmt.value)
-                if fact is not None and "value" in fact:
-                    consts.append(
-                        {
-                            "name": target.id,
-                            "value": fact["value"],
-                            "line": stmt.lineno,
-                            "col": stmt.col_offset + 1,
-                            "snippet": snippet(stmt.lineno),
-                        }
-                    )
-
-    for node in tree_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            a = node.args
-            positional = [*a.posonlyargs, *a.args]
-            for arg, default in zip(
-                positional[len(positional) - len(a.defaults) :], a.defaults
-            ):
-                fact = _fact_value(default)
-                if fact is not None:
-                    defaults.append(
-                        {
-                            "func": node.name,
-                            "param": arg.arg,
-                            **fact,
-                            "line": default.lineno,
-                            "col": default.col_offset + 1,
-                            "snippet": snippet(default.lineno),
-                        }
-                    )
-            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
-                if default is None:
-                    continue
-                fact = _fact_value(default)
-                if fact is not None:
-                    defaults.append(
-                        {
-                            "func": node.name,
-                            "param": arg.arg,
-                            **fact,
-                            "line": default.lineno,
-                            "col": default.col_offset + 1,
-                            "snippet": snippet(default.lineno),
-                        }
-                    )
-        elif isinstance(node, ast.Call):
-            targets: list[str] = []
-            method: str | None = None
-            func = node.func
-            if isinstance(func, ast.Name):
-                imported = imports.get(func.id)
-                if imported:
-                    targets.append(imported)
-                if module:
-                    targets.append(f"{module}.{func.id}")
-            elif isinstance(func, ast.Attribute):
-                parts: list[str] = []
-                base = func
-                while isinstance(base, ast.Attribute):
-                    parts.append(base.attr)
-                    base = base.value
-                if isinstance(base, ast.Name):
-                    root = imports.get(base.id, base.id)
-                    targets.append(".".join([root, *reversed(parts)]))
-                method = func.attr
-            args: list[dict] = []
-            for i, arg in enumerate(node.args):
-                if isinstance(arg, ast.Starred):
-                    continue
-                fact = _fact_value(arg)
-                if fact is not None:
-                    args.append(
-                        {
-                            "pos": i,
-                            **fact,
-                            "line": arg.lineno,
-                            "col": arg.col_offset + 1,
-                            "snippet": snippet(arg.lineno),
-                        }
-                    )
-            for kw in node.keywords:
-                if kw.arg is None:
-                    continue
-                fact = _fact_value(kw.value)
-                if fact is not None:
-                    args.append(
-                        {
-                            "kw": kw.arg,
-                            **fact,
-                            "line": kw.value.lineno,
-                            "col": kw.value.col_offset + 1,
-                            "snippet": snippet(kw.value.lineno),
-                        }
-                    )
-            if args and (targets or method):
-                calls.append(
-                    {"targets": targets, "method": method, "args": args}
-                )
-
-    return {"consts": consts, "defaults": defaults, "calls": calls}
-
-
-def _outside(value: float, rng: list) -> bool:
-    lo, hi = rng[0], rng[1]
-    strict = bool(rng[2]) if len(rng) > 2 else False
-    if lo is not None and (value < lo or (strict and value == lo)):
-        return True
-    if hi is not None and value > hi:
-        return True
-    return False
-
-
-def _fmt_range(rng: list) -> str:
-    lo = "-inf" if rng[0] is None else f"{rng[0]:g}"
-    hi = "inf" if rng[1] is None else f"{rng[1]:g}"
-    strict = len(rng) > 2 and rng[2]
-    return f"{'(' if strict else '['}{lo}, {hi}]"
-
-
-def run_range_pass(
-    facts_by_path: dict[str, dict], table: SignatureTable
-) -> list[dict]:
-    """Check harvested interval facts against the declared envelopes.
-
-    Returns RPR302 finding payloads (plain dicts with ``path``/``line``
-    /``col``/``message``/``snippet``/``context``), ready for the
-    analyzer to turn into findings and filter through suppressions.
-    """
-    out: list[dict] = []
-
-    def resolve_value(fact: dict) -> float | None:
-        if "value" in fact:
-            return fact["value"]
-        return table.values.get(fact.get("ref", ""))
-
-    def emit(
-        fact: dict, path: str, rng: list, value: float, context: str, what: str
-    ) -> None:
-        spelled = (
-            f"{value:g}"
-            if "value" in fact
-            else f"{fact['ref']} = {value:g}"
-        )
-        out.append(
-            {
-                "path": path,
-                "line": fact["line"],
-                "col": fact["col"],
-                "snippet": fact.get("snippet", ""),
-                "context": context,
-                "message": (
-                    f"{what} {spelled} is outside the declared physical "
-                    f"range {_fmt_range(rng)}"
-                ),
-            }
-        )
-
-    for path, facts in sorted(facts_by_path.items()):
-        for const in facts.get("consts", []):
-            rng = table.range_for_name(const["name"])
-            if rng is not None and _outside(const["value"], rng):
-                emit(
-                    const,
-                    path,
-                    rng,
-                    const["value"],
-                    f"const:{const['name']}",
-                    f"constant {const['name']} =",
-                )
-        for dflt in facts.get("defaults", []):
-            # A default is judged against the closed envelope: a strict
-            # lower bound only protects divisors, and the interval pass
-            # seeds each parameter with its default, so RPR301 reports a
-            # zero default that really reaches a division.  Zero is a
-            # valid start for an accumulator such as elapsed hours.
-            rng = table.range_for_name(dflt["param"])
-            rng = rng[:2] if rng is not None else None
-            value = resolve_value(dflt)
-            if rng is not None and value is not None and _outside(value, rng):
-                emit(
-                    dflt,
-                    path,
-                    rng,
-                    value,
-                    f"default:{dflt['func']}:{dflt['param']}",
-                    f"default for {dflt['func']}({dflt['param']}=...)",
-                )
-        for call in facts.get("calls", []):
-            qual: str | None = None
-            sig: dict | None = None
-            for target in call.get("targets", []):
-                if target in table.functions:
-                    qual, sig = target, table.functions[target]
-                    break
-            if sig is None and call.get("method"):
-                mqual = table.methods.get(call["method"])
-                if mqual is not None:
-                    qual, sig = mqual, table.functions[mqual]
-            if sig is None:
-                continue
-            params: list[list] = sig.get("params", [])
-            by_name = {entry[0]: entry[1] for entry in params}
-            for arg in call["args"]:
-                if "pos" in arg:
-                    if arg["pos"] >= len(params):
-                        continue
-                    param, unit = params[arg["pos"]][0], params[arg["pos"]][1]
-                else:
-                    param = arg["kw"]
-                    if param not in by_name:
-                        continue
-                    unit = by_name[param]
-                rng = (
-                    table.range_for_unit(unit)
-                    if unit is not None
-                    else table.range_for_name(param)
-                )
-                value = resolve_value(arg)
-                if rng is None or value is None or not _outside(value, rng):
-                    continue
-                emit(
-                    arg,
-                    path,
-                    rng,
-                    value,
-                    f"call:{qual}:{param}",
-                    f"argument {param!r} of {qual}() =",
-                )
-    out.sort(key=lambda f: (f["path"], f["line"], f["col"]))
-    return out

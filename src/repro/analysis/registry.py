@@ -52,10 +52,7 @@ class Rule(abc.ABC):
     example: str = ""
     #: ``"file"`` rules see one :class:`FileContext` at a time;
     #: ``"project"`` rules (see :class:`ProjectRule`) see the merged
-    #: call-graph snapshot and run once per analysis; ``"intervals"``
-    #: rules are descriptors for the interval range pass (their findings
-    #: come from :func:`repro.analysis.intervals.run_range_pass`, run by
-    #: the engine, not from ``check``).
+    #: call-graph snapshot and run once per analysis.
     scope: str = "file"
 
     @abc.abstractmethod

@@ -1,18 +1,11 @@
 """Bundled rules; importing this package registers them all."""
 
 from repro.analysis.rules import (  # noqa: F401
-    async_blocking,
     broad_except,
     concurrency_rules,
     constants_audit,
-    determinism,
-    dimension_args,
-    fit_mttf,
     float_eq,
     hotpath,
     numeric_safety,
-    pool_safety,
-    swallowed_interrupt,
-    unit_flow,
     units,
 )

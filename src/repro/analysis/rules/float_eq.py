@@ -16,9 +16,8 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.imports import tree_nodes
+from repro.analysis.imports import dotted_name, tree_nodes
 from repro.analysis.registry import Rule, register
-from repro.analysis.rules.determinism import dotted_name
 
 _FLOAT_ATTRS = frozenset(
     {

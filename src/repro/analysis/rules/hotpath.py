@@ -1,10 +1,8 @@
-"""RPR310–312 — hot-path performance rules.
+"""RPR311–312 — hot-path performance rules.
 
-The ROADMAP's next throughput target multiplies the array code in the
-hot modules (``repro.kernels``/``repro.thermal``/``repro.power``/
-``repro.core.failure``); these rules catch the three ways that code
-quietly falls off the fast path: Python-level loops over array rows
-(RPR310, from the interval pass's array tracking), per-element
+The hot modules (``repro.kernels``/``repro.thermal``/``repro.power``/
+``repro.core.failure``) hold the batched array code; these rules catch
+two ways that code quietly falls off the fast path: per-element
 ``math.*`` calls that have a numpy ufunc (RPR311), and redundant array
 copies or silent dtype upcasts (RPR312).
 """
@@ -15,36 +13,9 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.imports import tree_nodes
+from repro.analysis.imports import build_import_map, tree_nodes
 from repro.analysis.intervals import is_hot_module
 from repro.analysis.registry import Rule, register
-from repro.analysis.rules.numeric_safety import IntervalRuleBase
-
-
-@register
-class ArrayRowLoopRule(IntervalRuleBase):
-    id = "RPR310"
-    name = "array-row-loop"
-    severity = Severity.WARNING
-    kind = "loop"
-    description = (
-        "Python-level for loop over array rows in a hot module "
-        "(kernels/thermal/power/failure models)"
-    )
-    rationale = (
-        "A Python loop over the rows of a numpy array pays interpreter\n"
-        "dispatch per row; the batched kernels exist precisely to\n"
-        "amortise that over whole arrays.  The interval pass tracks\n"
-        "which locals are arrays (from np.* constructors, asarray, and\n"
-        "array-typed parameters), so the rule sees through zip(...),\n"
-        "enumerate(...), range(len(x)), and range(x.shape[0]).\n"
-        "Documented scalar reference paths keep their loops under an\n"
-        "inline suppression stating exactly that."
-    )
-    example = (
-        "for row in temps_k:              # hot module\n"
-        "    out.append(model.fit(row))   # vectorize: model.fit(temps_k)\n"
-    )
 
 
 class HotPathRuleBase(Rule):
@@ -103,8 +74,6 @@ class ScalarMathCallRule(HotPathRuleBase):
     )
 
     def check(self, ctx) -> Iterator[Finding]:
-        from repro.analysis.dataflow import build_import_map
-
         imports = build_import_map(ctx.tree, ctx.module)
         for node in tree_nodes(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -188,8 +157,6 @@ class RedundantArrayCopyRule(HotPathRuleBase):
     )
 
     def check(self, ctx) -> Iterator[Finding]:
-        from repro.analysis.dataflow import build_import_map
-
         imports = build_import_map(ctx.tree, ctx.module)
         numpy_names = {
             alias for alias, target in imports.items() if target == "numpy"

@@ -1,4 +1,4 @@
-"""RPR301–303 — numeric-safety rules backed by the interval pass.
+"""RPR301 and RPR303 — numeric-safety rules backed by the interval pass.
 
 The interval-domain interpreter (:mod:`repro.analysis.intervals`) binds
 every local to a range over the extended reals, seeded from the
@@ -8,10 +8,6 @@ narrowed by branch conditions.  These rules report its diagnostics:
 - RPR301: an arithmetic domain violation that is *provable* from the
   intervals — a division whose denominator contains zero, ``log`` of a
   possibly-nonpositive value, ``sqrt`` of a possibly-negative one.
-- RPR302: a literal (or named constant) crossing a module boundary —
-  call argument, parameter default, or module constant — outside its
-  declared physical envelope.  This one is a project-scope pass over
-  the harvested interval facts, not a per-file check.
 - RPR303: a possibly NaN/inf-producing operation in the hot modules
   (kernels, thermal, power, failure models) inside a function with no
   guard of any kind — no raise/assert, no ``isfinite``/``nan_to_num``/
@@ -72,42 +68,6 @@ class ReachableDomainErrorRule(IntervalRuleBase):
         "    a = math.exp(-EA / (K_B * temperature_k))\n"
         "    return 1.0 / a  # a underflows to 0.0 for cold corners\n"
     )
-
-
-@register
-class DeclaredRangeRule(IntervalRuleBase):
-    id = "RPR302"
-    name = "out-of-declared-range"
-    severity = Severity.ERROR
-    #: Findings come from the project-wide range pass over harvested
-    #: interval facts (the fourth cached layer), not from per-file
-    #: interpretation.
-    scope = "intervals"
-    description = (
-        "numeric value crossing a module boundary (call argument, "
-        "parameter default, module constant) outside its declared "
-        "physical range"
-    )
-    rationale = (
-        "constants.PHYSICAL_RANGES declares the physical envelope for\n"
-        "each unit in the analyzer's lattice: temperatures in\n"
-        "[MIN_TEMPERATURE_K, MAX_TEMPERATURE_K], probabilities in\n"
-        "[0, 1], durations strictly positive, voltages and frequencies\n"
-        "in their qualified DVS envelopes.  A literal 85.0 passed as\n"
-        "`temperature_k` is a Celsius value that slipped through a\n"
-        "kelvin boundary; a negative FIT budget or an activity of 1.2\n"
-        "is corrupt configuration.  The check runs project-wide over\n"
-        "harvested call/default/constant facts, so it catches the\n"
-        "mistake at whichever module boundary it crosses."
-    )
-    example = (
-        "model.relative_mttf(temperature_k=85.0)  # 85 K is -188 C;\n"
-        "                                         # meant celsius_to_kelvin(85)\n"
-    )
-
-    def check(self, ctx) -> Iterator[Finding]:
-        """Range findings come from the project pass, not per-file."""
-        return iter(())
 
 
 @register

@@ -6,20 +6,20 @@ its comment block, so a justification can run to several lines:
 
     x == 0.0  # repro: ignore[RPR004] exact-zero sentinel: set by reset()
 
-    # repro: ignore[RPR003] registered at import time, picklable by
-    # name, so the pool can resolve it in the worker process.
-    pool.submit(worker, job)
+    # repro: ignore[RPR005] a branch-predictor bias that happens to
+    # equal Ea; not the activation energy.
+    bias = 0.9
 
 When the file's AST is available, a suppression attaches to the *whole
 statement* whose line span contains it, so it also works on decorator
 lines and anywhere inside a multi-line call expression:
 
-    @dataclass(frozen=True)  # repro: ignore[RPR003] registered dynamically
-    class OddJob(Job): ...
+    @dataclass(frozen=True)  # repro: ignore[RPR001] dimensionless knob
+    class Knobs: ...
 
     total = combine(
         fit_budget,
-        mttf_hours,  # repro: ignore[RPR103] unit mix is the point here
+        elapsed == 0.0,  # repro: ignore[RPR004] exact reset sentinel
     )
 
 ``# repro: ignore`` without a rule list is deliberately NOT supported:

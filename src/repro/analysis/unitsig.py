@@ -1,21 +1,19 @@
 """Physical-unit model and unit-signature harvesting.
 
-The dataflow pass (:mod:`repro.analysis.dataflow`) needs three inputs
-this module provides without importing any analyzed code:
+The interval pass (:mod:`repro.analysis.intervals`) seeds values from
+three inputs this module provides without importing any analyzed code:
 
 - a **units lattice**: named units (``K``, ``degC``, ``V``, ``GHz``,
-  ``eV``, ``FIT``, ``hours``, ``1``, ...) grouped into dimensions
-  (temperature, voltage, frequency, time, failure rate, ...), plus a
-  few algebraic facts (a difference of two absolute temperatures is a
-  temperature *delta*; device-hours over hours is a FIT rate);
+  ``eV``, ``FIT``, ``hours``, ``1``, ...), whose names key the
+  declared ``PHYSICAL_RANGES`` envelopes;
 - **name-based inference**: the RPR001 suffix convention read in
   reverse — ``peak_temperature_k`` carries kelvin, ``fit_target``
   carries FIT, ``frequency_ratio`` is dimensionless;
 - **signature harvesting**: for every function, method, and dataclass
   constructor in a parsed file, the inferred unit of each parameter and
-  of the return value, keyed by dotted qualname.  ``constants.py``'s
-  ``CONSTANT_UNITS`` table is read straight from its AST dict literal,
-  so explicitly annotated constants override name inference.
+  of the return value, keyed by dotted qualname, plus the numeric
+  module constants and ``constants.py``'s ``PHYSICAL_RANGES`` table,
+  read straight from the AST.
 
 Everything harvested is plain JSON-able data, which is what lets the
 analyzer cache one file's harvest by content hash and rebuild the
@@ -25,24 +23,7 @@ cross-module signature table without re-parsing unchanged files.
 from __future__ import annotations
 
 import ast
-import enum
 from dataclasses import dataclass
-
-
-class Dim(enum.Enum):
-    """Physical dimension of a unit (the lattice's coarse level)."""
-
-    TEMPERATURE = "temperature"
-    TEMPERATURE_DELTA = "temperature-delta"
-    VOLTAGE = "voltage"
-    FREQUENCY = "frequency"
-    POWER = "power"
-    ENERGY = "energy"
-    TIME = "time"
-    RATE = "failure-rate"
-    AREA = "area"
-    DEVICE_HOURS = "device-hours"
-    DIMENSIONLESS = "dimensionless"
 
 
 @dataclass(frozen=True)
@@ -50,49 +31,32 @@ class Unit:
     """One named unit; equality is by name (GHz and Hz are distinct)."""
 
     name: str
-    dim: Dim
 
     def __str__(self) -> str:
         return self.name
 
 
-def _mk(name: str, dim: Dim) -> Unit:
-    unit = Unit(name, dim)
-    UNITS[name] = unit
-    return unit
-
-
-#: name -> Unit for every unit the lattice knows.
-UNITS: dict[str, Unit] = {}
-
-KELVIN = _mk("K", Dim.TEMPERATURE)
-CELSIUS = _mk("degC", Dim.TEMPERATURE)
-DELTA_K = _mk("deltaK", Dim.TEMPERATURE_DELTA)
-VOLT = _mk("V", Dim.VOLTAGE)
-MILLIVOLT = _mk("mV", Dim.VOLTAGE)
-HERTZ = _mk("Hz", Dim.FREQUENCY)
-KILOHERTZ = _mk("kHz", Dim.FREQUENCY)
-MEGAHERTZ = _mk("MHz", Dim.FREQUENCY)
-GIGAHERTZ = _mk("GHz", Dim.FREQUENCY)
-WATT = _mk("W", Dim.POWER)
-MILLIWATT = _mk("mW", Dim.POWER)
-JOULE = _mk("J", Dim.ENERGY)
-ELECTRONVOLT = _mk("eV", Dim.ENERGY)
-FIT = _mk("FIT", Dim.RATE)
-HOURS = _mk("hours", Dim.TIME)
-YEARS = _mk("years", Dim.TIME)
-SECONDS = _mk("s", Dim.TIME)
-MILLISECONDS = _mk("ms", Dim.TIME)
-MM2 = _mk("mm2", Dim.AREA)
-M2 = _mk("m2", Dim.AREA)
-UM2 = _mk("um2", Dim.AREA)
-DEVICE_HOURS = _mk("device_hours", Dim.DEVICE_HOURS)
-DIMENSIONLESS = _mk("1", Dim.DIMENSIONLESS)
-
-
-def unit_by_name(name: str) -> Unit | None:
-    """Look up a unit by its lattice name; compound spellings are None."""
-    return UNITS.get(name)
+KELVIN = Unit("K")
+CELSIUS = Unit("degC")
+VOLT = Unit("V")
+MILLIVOLT = Unit("mV")
+HERTZ = Unit("Hz")
+KILOHERTZ = Unit("kHz")
+MEGAHERTZ = Unit("MHz")
+GIGAHERTZ = Unit("GHz")
+WATT = Unit("W")
+MILLIWATT = Unit("mW")
+JOULE = Unit("J")
+ELECTRONVOLT = Unit("eV")
+FIT = Unit("FIT")
+HOURS = Unit("hours")
+YEARS = Unit("years")
+SECONDS = Unit("s")
+MILLISECONDS = Unit("ms")
+MM2 = Unit("mm2")
+M2 = Unit("m2")
+UM2 = Unit("um2")
+DIMENSIONLESS = Unit("1")
 
 
 #: final name token -> unit, the RPR001 suffix convention read backwards.
@@ -189,11 +153,9 @@ def unit_from_name(name: str) -> Unit | None:
 #                                        "return": "hours" | None},
 #                  "pkg.mod.Class":     ...   (constructor)
 #                  "pkg.mod.Class.fn":  ...},
-#    "constants": {"TARGET_FIT": "FIT", ...}}
+#    "values": {"TARGET_FIT": 4000.0, ...},
+#    "ranges": {"K": [200.0, 500.0, False], ...}}
 # ---------------------------------------------------------------------------
-
-#: Name of the explicit-annotation table read from constants.py.
-CONSTANT_UNITS_NAME = "CONSTANT_UNITS"
 
 #: Name of the declared physical-envelope table read from constants.py.
 PHYSICAL_RANGES_NAME = "PHYSICAL_RANGES"
@@ -235,30 +197,14 @@ def _dataclass_constructor(node: ast.ClassDef) -> dict | None:
     return {"params": params, "return": None}
 
 
-def _constant_units_literal(node: ast.expr) -> dict[str, str]:
-    """Parse an explicit ``CONSTANT_UNITS = {...}`` dict literal."""
-    out: dict[str, str] = {}
-    if not isinstance(node, ast.Dict):
-        return out
-    for key, value in zip(node.keys, node.values):
-        if (
-            isinstance(key, ast.Constant)
-            and isinstance(key.value, str)
-            and isinstance(value, ast.Constant)
-            and isinstance(value.value, str)
-        ):
-            out[key.value] = value.value
-    return out
-
-
-def _numeric_literal(node: ast.expr) -> float | None:
+def numeric_literal(node: ast.expr) -> float | None:
     """The numeric value of a literal expression, or None.
 
     Accepts plain int/float constants and a leading unary minus; bools
     are rejected (they are ints to Python but not physical values).
     """
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = _numeric_literal(node.operand)
+        inner = numeric_literal(node.operand)
         return None if inner is None else -inner
     if (
         isinstance(node, ast.Constant)
@@ -297,7 +243,7 @@ def _physical_ranges_literal(
             if isinstance(elt, ast.Constant) and elt.value is None:
                 bounds.append(None)
                 continue
-            num = _numeric_literal(elt)
+            num = numeric_literal(elt)
             if num is None and isinstance(elt, ast.Name) and elt.id.isupper():
                 num = values.get(elt.id)
             if num is None and not (
@@ -320,7 +266,7 @@ def _physical_ranges_literal(
 
 
 def harvest_signatures(tree: ast.Module, module: str | None) -> dict:
-    """One file's unit signatures, constant units/values, and ranges.
+    """One file's unit signatures, constant values, and ranges.
 
     Args:
         tree: the parsed file.
@@ -328,7 +274,6 @@ def harvest_signatures(tree: ast.Module, module: str | None) -> dict:
             None — a non-importable path contributes only constants).
     """
     functions: dict[str, dict] = {}
-    constants: dict[str, str] = {}
     values: dict[str, float] = {}
     ranges_node: ast.expr | None = None
 
@@ -358,18 +303,12 @@ def harvest_signatures(tree: ast.Module, module: str | None) -> dict:
             for target in targets:
                 if not isinstance(target, ast.Name):
                     continue
-                if target.id == CONSTANT_UNITS_NAME and stmt.value is not None:
-                    constants.update(_constant_units_literal(stmt.value))
-                elif target.id == PHYSICAL_RANGES_NAME and stmt.value is not None:
+                if target.id == PHYSICAL_RANGES_NAME and stmt.value is not None:
                     ranges_node = stmt.value
-                elif target.id.isupper():
-                    unit = unit_from_name(target.id)
-                    if unit is not None:
-                        constants.setdefault(target.id, unit.name)
-                    if stmt.value is not None:
-                        num = _numeric_literal(stmt.value)
-                        if num is not None:
-                            values.setdefault(target.id, num)
+                elif target.id.isupper() and stmt.value is not None:
+                    num = numeric_literal(stmt.value)
+                    if num is not None:
+                        values.setdefault(target.id, num)
     # Ranges resolve last so bound names may reference constants defined
     # anywhere in the same file.
     ranges = (
@@ -379,7 +318,6 @@ def harvest_signatures(tree: ast.Module, module: str | None) -> dict:
     )
     return {
         "functions": functions,
-        "constants": constants,
         "values": values,
         "ranges": ranges,
     }
@@ -391,8 +329,6 @@ class SignatureTable:
 
     Attributes:
         functions: dotted qualname -> ``{"params": ..., "return": ...}``.
-        constants: UPPER_CASE constant name -> unit name (collisions
-            across modules with *different* units are dropped).
         methods: final attribute name -> qualname, only for method
             names that resolve uniquely across the project.
         values: UPPER_CASE constant name -> numeric literal value
@@ -402,7 +338,6 @@ class SignatureTable:
     """
 
     functions: dict[str, dict]
-    constants: dict[str, str]
     methods: dict[str, str]
     values: dict[str, float]
     ranges: dict[str, list]
@@ -410,22 +345,12 @@ class SignatureTable:
     @classmethod
     def merge(cls, harvests: list[dict]) -> "SignatureTable":
         functions: dict[str, dict] = {}
-        constants: dict[str, str] = {}
         values: dict[str, float] = {}
         ranges: dict[str, list] = {}
-        dropped: set[str] = set()
         dropped_values: set[str] = set()
         for harvest in harvests:
             functions.update(harvest.get("functions", {}))
             ranges.update(harvest.get("ranges", {}))
-            for name, unit in harvest.get("constants", {}).items():
-                if name in dropped:
-                    continue
-                if name in constants and constants[name] != unit:
-                    del constants[name]
-                    dropped.add(name)
-                else:
-                    constants[name] = unit
             for name, value in harvest.get("values", {}).items():
                 if name in dropped_values:
                     continue
@@ -442,37 +367,19 @@ class SignatureTable:
         }
         return cls(
             functions=functions,
-            constants=constants,
             methods=methods,
             values=values,
             ranges=ranges,
         )
 
     def as_payload(self) -> dict:
-        """JSON-able form (for cache keys and worker transport)."""
+        """JSON-able form (hashed into the analysis cache keys)."""
         return {
             "functions": self.functions,
-            "constants": self.constants,
             "methods": self.methods,
             "values": self.values,
             "ranges": self.ranges,
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SignatureTable":
-        return cls(
-            functions=payload.get("functions", {}),
-            constants=payload.get("constants", {}),
-            methods=payload.get("methods", {}),
-            values=payload.get("values", {}),
-            ranges=payload.get("ranges", {}),
-        )
-
-    def constant_unit(self, name: str) -> Unit | None:
-        spelled = self.constants.get(name)
-        if spelled is None:
-            return None
-        return unit_by_name(spelled)
 
     def range_for_unit(self, unit_name: str) -> list | None:
         """The declared ``[lo, hi, strict_lo]`` envelope, or None."""
@@ -502,5 +409,5 @@ class SignatureTable:
 
 
 EMPTY_TABLE = SignatureTable(
-    functions={}, constants={}, methods={}, values={}, ranges={}
+    functions={}, methods={}, values={}, ranges={}
 )

@@ -17,8 +17,8 @@ user asks of this reproduction:
 - ``suite``             list the workload suite
 - ``validate``          run the stack's self-audits
 - ``map``               ASCII thermal map of an application on the die
-- ``analyze``           physics-aware static analysis (units, determinism,
-                        pool safety, float equality, constants audit)
+- ``analyze``           physics-aware static analysis (unit suffixes, float
+                        equality, constants audit, races, numeric safety)
 - ``serve``             long-running HTTP decision service (micro-batched
                         DRM/DTM/joint/intra answers with hot-decision
                         caching; ``--fault-plan`` arms network chaos)
@@ -368,9 +368,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(_run())
-    # repro: ignore[RPR007] top-level CLI loop: Ctrl-C is the documented
-    # way to stop the server; asyncio.run has already unwound and
-    # cancelled every task by the time this handler runs.
+    # Ctrl-C is the documented way to stop the server; asyncio.run has
+    # already unwound and cancelled every task by the time this runs.
     except KeyboardInterrupt:
         print("\nrepro serve: shutting down", file=sys.stderr)
     return 0

@@ -70,35 +70,12 @@ TC_COFFIN_MANSON_EXPONENT = 2.35
 #: is split evenly across them during qualification.
 N_FAILURE_MECHANISMS = 4
 
-#: Explicit physical units for the constants above, keyed by constant
-#: name.  Values are unit names from the static analyzer's lattice
-#: (``repro.analysis.unitsig``): "K", "V", "Hz", "W", "eV", "FIT",
-#: "hours", "1" (dimensionless), plus compound spellings like "eV/K"
-#: that the dataflow pass treats as opaque.  The analyzer reads this
-#: table from the AST, so a constant's declared unit and its name
-#: convention can be cross-checked without importing this module.
-CONSTANT_UNITS: dict[str, str] = {
-    "BOLTZMANN_EV_PER_K": "eV/K",
-    "HOURS_PER_YEAR": "hours/year",
-    "FIT_DEVICE_HOURS": "device_hours",
-    "MIN_TEMPERATURE_K": "K",
-    "MAX_TEMPERATURE_K": "K",
-    "AMBIENT_TEMPERATURE_K": "K",
-    "CYCLE_COLD_TEMPERATURE_K": "K",
-    "TARGET_FIT": "FIT",
-    "EM_CURRENT_DENSITY_EXPONENT": "1",
-    "EM_ACTIVATION_ENERGY_EV": "eV",
-    "SM_STRESS_EXPONENT": "1",
-    "SM_ACTIVATION_ENERGY_EV": "eV",
-    "TC_COFFIN_MANSON_EXPONENT": "1",
-    "N_FAILURE_MECHANISMS": "1",
-}
-
-
-#: Declared physical envelopes for the interval-domain analyzer
-#: (RPR301-303).  Keys are either unit names from the analyzer's
-#: lattice ("K", "V", "FIT", ...) or bare name tokens for quantities
-#: the lattice treats as dimensionless ("probability", "activity").
+#: Declared physical envelopes that seed the interval-domain analyzer
+#: (RPR301/RPR303): a parameter named by the unit-suffix convention
+#: enters the pass at its unit's envelope.  Keys are either unit names
+#: from the analyzer's lattice (``repro.analysis.unitsig``: "K", "V",
+#: "FIT", ...) or bare name tokens for quantities the lattice treats as
+#: dimensionless ("probability", "activity").
 #: Values are ``[lo, hi]`` (inclusive) or ``[lo, hi, True]`` where the
 #: third element marks the lower bound as *strict* (durations and
 #: areas are positive, never zero).  ``None`` means unbounded.  Bounds

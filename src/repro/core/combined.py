@@ -55,11 +55,6 @@ class JointDecision(Decision):
     meets_fit: bool
     meets_thermal: bool
 
-    @property
-    def feasible(self) -> bool:
-        """Legacy alias of :attr:`meets_target`."""
-        return self.meets_target
-
 
 class JointOracle:
     """Oracle DVS management under simultaneous FIT and thermal caps.

@@ -120,8 +120,8 @@ class FailureMechanism(abc.ABC):
         )
         out = np.empty(t.shape, dtype=float)
         flat = out.reshape(-1)
-        # repro: ignore[RPR310] documented scalar fallback: mechanisms
-        # without a closed-form batch override evaluate per element.
+        # Scalar fallback: mechanisms without a closed-form batch
+        # override evaluate per element.
         for i, (ti, vi, fi, ai) in enumerate(
             zip(t.reshape(-1), v.reshape(-1), f.reshape(-1), a.reshape(-1))
         ):

@@ -48,7 +48,7 @@ class TimeDependentDielectricBreakdown(FailureMechanism):
         a: float = 78.0,
         b: float = 0.081,
         x_ev: float = 0.759,
-        y_ev_k: float = -66.8,  # repro: ignore[RPR302] eV·K fit term, not eV
+        y_ev_k: float = -66.8,  # eV·K fit term, not eV
         z_ev_per_k: float = -8.37e-4,
     ) -> None:
         self.a = a

@@ -74,7 +74,6 @@ def _worker_run(
 
     injector = active_injector()
     if injector is not None:
-        # repro: ignore[RPR002] injection bookkeeping only, never in results
         in_subprocess = parent_pid is not None and os.getpid() != parent_pid
         injector.maybe_crash_worker(job.cache_key, attempt, in_subprocess)
         injector.maybe_hang(job.cache_key, attempt)
@@ -335,7 +334,7 @@ class JobExecutor:
     def _execute_serial(self, jobs: list[Job]) -> dict[str, JobOutcome]:
         """In-process execution (also the no-multiprocessing fallback)."""
         store_dir = self._store_dir()
-        parent_pid = os.getpid()  # repro: ignore[RPR002] crash-blame bookkeeping
+        parent_pid = os.getpid()
         outcomes: dict[str, JobOutcome] = {}
         for job in jobs:
             attempt = 0
@@ -385,7 +384,7 @@ class JobExecutor:
         #: evidence that eventually makes it a suspect.
         incidents: dict[str, int] = {job.cache_key: 0 for job in jobs}
         store_dir = self._store_dir()
-        parent_pid = os.getpid()  # repro: ignore[RPR002] crash-blame bookkeeping
+        parent_pid = os.getpid()
         queue = list(jobs)
         rebuilds = 0
         try:
@@ -535,7 +534,7 @@ class JobExecutor:
         """One fresh single-worker pool per attempt: exact crash blame."""
         outcomes: dict[str, JobOutcome] = {}
         store_dir = self._store_dir()
-        parent_pid = os.getpid()  # repro: ignore[RPR002] crash-blame bookkeeping
+        parent_pid = os.getpid()
         for job in jobs:
             key = job.cache_key
             while True:

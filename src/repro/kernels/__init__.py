@@ -20,8 +20,6 @@ from repro.kernels.batch import (
     MAX_FIXED_POINT_ITERS,
     STRUCTURE_INDEX,
     TEMP_TOLERANCE_K,
-    grid_digest,
-    grid_tensors,
 )
 from repro.kernels.wear import accrue, duty_asymmetry_factors, wear_rate_fields
 
@@ -33,7 +31,5 @@ __all__ = [
     "TEMP_TOLERANCE_K",
     "accrue",
     "duty_asymmetry_factors",
-    "grid_digest",
-    "grid_tensors",
     "wear_rate_fields",
 ]

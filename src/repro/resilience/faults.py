@@ -302,9 +302,8 @@ class FaultInjector:
             "plan": self.plan.name,
             "site": site,
             "key": key,
-            # repro: ignore[RPR002] fault-log metadata, never in results
             "pid": os.getpid(),
-            "wall_s": round(time.time(), 3),  # repro: ignore[RPR002] log metadata
+            "wall_s": round(time.time(), 3),
             **detail,
         }
         with self._record_lock:
@@ -580,8 +579,8 @@ def iter_fault_log(path: str | os.PathLike) -> Iterator[dict[str, Any]]:
     """Parse a fault log, skipping torn or damaged lines.
 
     The log is a telemetry segment of ``fault.fired`` records; each
-    yielded dict is one fired-fault payload.  Bare-JSON lines (the
-    pre-telemetry format) are still accepted, so old logs keep reading.
+    yielded dict is one fired-fault payload.  Any line that is not a
+    valid frame (torn, corrupted, or bare JSON) is skipped.
     """
     from repro.telemetry.stream import decode_frame
 
@@ -594,14 +593,5 @@ def iter_fault_log(path: str | os.PathLike) -> Iterator[dict[str, Any]]:
         if not line:
             continue
         envelope = decode_frame(line)
-        if envelope is not None:
-            payload = envelope.get("payload")
-            if isinstance(payload, dict):
-                yield payload
-            continue
-        try:
-            legacy = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            continue
-        if isinstance(legacy, dict):
-            yield legacy
+        if envelope is not None and isinstance(envelope.get("payload"), dict):
+            yield envelope["payload"]

@@ -96,9 +96,8 @@ def decode_frame(line: bytes) -> dict | None:
 
 def new_run_id(prefix: str) -> str:
     """A filesystem-safe, collision-resistant run identity."""
-    # repro: ignore[RPR002] run identity, never part of a result
     stamp = time.time_ns()
-    pid = os.getpid()  # repro: ignore[RPR002] run identity, not a result
+    pid = os.getpid()
     return f"{prefix}-{stamp:x}-{pid:x}"
 
 
@@ -189,7 +188,6 @@ class TelemetryWriter:
                 kind=kind,
                 run_id=self.run_id,
                 seq=self._seq,
-                # repro: ignore[RPR002] log metadata, never in results
                 ts=round(time.time(), 3),
                 payload=payload,
             )

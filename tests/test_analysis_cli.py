@@ -107,9 +107,19 @@ class TestOutputs:
     def test_list_rules(self, project, capsys):
         project()
         assert main(["analyze", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == [
+            "RPR001", "RPR004", "RPR005", "RPR006", "RPR201",
+            "RPR301", "RPR303", "RPR311", "RPR312",
+        ]
+
+    def test_explain_documents_a_rule(self, project, capsys):
+        project()
+        assert main(["analyze", "--explain", "RPR301"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("RPR301 (reachable-domain-error)")
+        assert "example:" in text
+        assert "# repro: ignore[RPR301]" in text
 
     def test_select_limits_rules(self, project):
         project(src=DIRTY)

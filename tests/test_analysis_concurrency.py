@@ -1,9 +1,8 @@
-"""RPR201-205 fixture tests: positive, suppressed, and cross-module.
+"""RPR201 fixture tests: positive, suppressed, and cross-module.
 
-Each concurrency rule gets one true-positive fixture, one fixture that
-silences the finding with ``# repro: ignore[RPRxxx]``, and (for the
-interprocedural rules) a fixture whose racy write is only reachable
-through a cross-module call chain.  Fixtures run through the real
+The concurrency rule gets a true-positive fixture, a fixture that
+silences the finding with ``# repro: ignore[RPR201]``, and a fixture
+whose racy write is only reachable through a cross-module call chain.  Fixtures run through the real
 in-process :class:`Analyzer` so harvesting, graph merging, coloring,
 and suppression all run exactly as ``python -m repro analyze`` would.
 """
@@ -170,326 +169,14 @@ class TestSharedStateWithoutLock:
         assert [f.rule for f in result.suppressed] == ["RPR201"]
 
 
-class TestLockHeldAcrossAwait:
-    def test_threading_lock_across_await_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import asyncio
-                import threading
-
-
-                class Gate:
-                    def __init__(self):
-                        self.lock = threading.Lock()
-
-                    async def pass_through(self):
-                        with self.lock:
-                            await asyncio.sleep(0.01)
-            """,
-        }, select=["RPR202"])
-        assert rules_hit(result) == ["RPR202"]
-        assert "await" in result.findings[0].message
-
-    def test_asyncio_lock_is_fine_across_await(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import asyncio
-
-
-                class Gate:
-                    def __init__(self):
-                        self.lock = asyncio.Lock()
-
-                    async def pass_through(self):
-                        async with self.lock:
-                            await asyncio.sleep(0.01)
-            """,
-        }, select=["RPR202"])
-        assert result.findings == []
-
-    def test_lock_released_before_await_is_fine(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import asyncio
-                import threading
-
-
-                class Gate:
-                    def __init__(self):
-                        self.lock = threading.Lock()
-                        self.hits = 0
-
-                    async def pass_through(self):
-                        with self.lock:
-                            self.hits += 1
-                        await asyncio.sleep(0.01)
-            """,
-        }, select=["RPR202"])
-        assert result.findings == []
-
-    def test_suppression_comment_silences_it(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import asyncio
-                import threading
-
-
-                class Gate:
-                    def __init__(self):
-                        self.lock = threading.Lock()
-
-                    async def pass_through(self):
-                        with self.lock:  # repro: ignore[RPR202] bounded sleep
-                            await asyncio.sleep(0.01)
-            """,
-        }, select=["RPR202"])
-        assert result.findings == []
-
-
-class TestUnsafeObjectCrossesThread:
-    def test_unlocked_container_class_crossing_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import threading
-
-
-                class Tally:
-                    def __init__(self):
-                        self.counts = {}
-
-                    def bump(self, key):
-                        self.counts[key] = self.counts.get(key, 0) + 1
-
-
-                def spawn(tally: Tally):
-                    threading.Thread(target=tally.bump, args=("k",)).start()
-            """,
-        }, select=["RPR203"])
-        assert rules_hit(result) == ["RPR203"]
-        assert "Tally" in result.findings[0].message
-
-    def test_locked_class_crossing_is_fine(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import threading
-
-
-                class Tally:
-                    def __init__(self):
-                        self.lock = threading.Lock()
-                        self.counts = {}
-
-                    def bump(self, key):
-                        with self.lock:
-                            self.counts[key] = self.counts.get(key, 0) + 1
-
-
-                def spawn(tally: Tally):
-                    threading.Thread(target=tally.bump, args=("k",)).start()
-            """,
-        }, select=["RPR203"])
-        assert result.findings == []
-
-    def test_suppression_comment_silences_it(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import threading
-
-
-                class Tally:
-                    def __init__(self):
-                        self.counts = {}
-
-                    def bump(self, key):
-                        self.counts[key] = self.counts.get(key, 0) + 1
-
-
-                def spawn(tally: Tally):
-                    # repro: ignore[RPR203] joined before any read
-                    threading.Thread(target=tally.bump, args=("k",)).start()
-            """,
-        }, select=["RPR203"])
-        assert result.findings == []
-
-
-class TestFireAndForget:
-    def test_dropped_create_task_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import asyncio
-
-
-                async def work():
-                    pass
-
-
-                async def entry():
-                    asyncio.create_task(work())
-            """,
-        }, select=["RPR204"])
-        assert rules_hit(result) == ["RPR204"]
-
-    def test_tracked_task_is_fine(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import asyncio
-
-
-                async def work():
-                    pass
-
-
-                async def entry(pending: set):
-                    task = asyncio.create_task(work())
-                    pending.add(task)
-                    task.add_done_callback(pending.discard)
-            """,
-        }, select=["RPR204"])
-        assert result.findings == []
-
-    def test_unjoined_local_thread_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import threading
-
-
-                def work():
-                    pass
-
-
-                def entry():
-                    t = threading.Thread(target=work)
-                    t.start()
-            """,
-        }, select=["RPR204"])
-        assert rules_hit(result) == ["RPR204"]
-
-    def test_joined_thread_is_fine(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import threading
-
-
-                def work():
-                    pass
-
-
-                def entry():
-                    t = threading.Thread(target=work)
-                    t.start()
-                    t.join()
-            """,
-        }, select=["RPR204"])
-        assert result.findings == []
-
-    def test_suppression_comment_silences_it(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import asyncio
-
-
-                async def work():
-                    pass
-
-
-                async def entry():
-                    asyncio.create_task(work())  # repro: ignore[RPR204] daemon
-            """,
-        }, select=["RPR204"])
-        assert result.findings == []
-
-
-class TestResourceLeak:
-    def test_unclosed_socket_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import socket
-
-
-                def probe(host, port):
-                    conn = socket.create_connection((host, port))
-                    conn.sendall(b"ping")
-            """,
-        }, select=["RPR205"])
-        assert rules_hit(result) == ["RPR205"]
-        assert "socket" in result.findings[0].message
-
-    def test_with_block_is_fine(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import socket
-
-
-                def probe(host, port):
-                    with socket.create_connection((host, port)) as conn:
-                        conn.sendall(b"ping")
-            """,
-        }, select=["RPR205"])
-        assert result.findings == []
-
-    def test_explicit_close_is_fine(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                def slurp(path):
-                    handle = open(path)
-                    text = handle.read()
-                    handle.close()
-                    return text
-            """,
-        }, select=["RPR205"])
-        assert result.findings == []
-
-    def test_stored_executor_with_class_close_is_fine(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                from concurrent.futures import ThreadPoolExecutor
-
-
-                class Service:
-                    def __init__(self):
-                        self.pool = ThreadPoolExecutor(4)
-
-                    def close(self):
-                        self.pool.shutdown()
-            """,
-        }, select=["RPR205"])
-        assert result.findings == []
-
-    def test_stored_executor_without_close_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                from concurrent.futures import ThreadPoolExecutor
-
-
-                class Service:
-                    def __init__(self):
-                        self.pool = ThreadPoolExecutor(4)
-            """,
-        }, select=["RPR205"])
-        assert rules_hit(result) == ["RPR205"]
-
-    def test_suppression_comment_silences_it(self, tmp_path):
-        result = run(tmp_path, {
-            "src/svc.py": """
-                import socket
-
-
-                def probe(host, port):
-                    conn = socket.create_connection((host, port))  # repro: ignore[RPR205] closed by caller
-                    return conn
-            """,
-        }, select=["RPR205"])
-        assert result.findings == []
-
-
 class TestRuleFamilyGlob:
     def test_rules_glob_expands_to_the_family(self, tmp_path):
         from repro.analysis.registry import expand_rule_patterns
 
-        expanded = expand_rule_patterns(["RPR2xx"])
-        for rule_id in ("RPR201", "RPR202", "RPR203", "RPR204", "RPR205"):
-            assert rule_id in expanded
-        assert not any(r.startswith("RPR1") for r in expanded)
+        assert expand_rule_patterns(["RPR2xx"]) == ["RPR201"]
+        assert expand_rule_patterns(["RPR3*"]) == [
+            "RPR301", "RPR303", "RPR311", "RPR312",
+        ]
 
     def test_unknown_pattern_is_an_error(self):
         import pytest

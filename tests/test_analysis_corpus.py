@@ -8,6 +8,9 @@ collected or analyzed in place; each test copies one tree into
 ``tmp_path`` as ``.py`` files, analyzes it cold, then again warm from
 the same cache, and asserts that the defect is reported under its rule
 id both times.
+
+The corpus is the analyzer's rule contract: every registered rule has
+at least one real defect here, and a rule with none is not kept.
 """
 
 import shutil
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer
+from repro.analysis import Analyzer, all_rules
 
 CORPUS = Path(__file__).parent / "analysis_corpus"
 
@@ -69,6 +72,22 @@ DEFECTS = [
         "hygiene", "RPR006", "src/repro/harness/sweep.py",
         "except Exception:", id="broad-except-decode",
     ),
+    pytest.param(
+        "hygiene", "RPR001", "src/repro/config/technology.py",
+        "vdd_nominal: float = 1.0", id="unit-suffix-vdd-nominal",
+    ),
+    pytest.param(
+        "hygiene", "RPR005", "src/repro/core/failure/electromigration.py",
+        "current_density_exponent: float = 1.1", id="constants-em-defaults",
+    ),
+    pytest.param(
+        "hotpath", "RPR311", "src/repro/core/failure/electromigration.py",
+        "arrhenius = math.exp(", id="scalar-math-exp-em",
+    ),
+    pytest.param(
+        "hotpath", "RPR312", "src/repro/kernels/batch.py",
+        "finite = np.isfinite(", id="salvage-concatenate-reduction",
+    ),
 ]
 
 
@@ -94,3 +113,9 @@ def test_defect_is_reported_cold_and_warm(tmp_path, tree, rule, path, line_text)
             if (f.rule, f.path) == (rule, path) and line_text in f.snippet
         ]
         assert len(hits) == 1, [f.render() for f in result.findings]
+
+
+def test_every_registered_rule_has_a_corpus_defect():
+    assert {rule.id for rule in all_rules()} == {
+        param.values[1] for param in DEFECTS
+    }

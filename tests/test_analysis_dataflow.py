@@ -1,14 +1,12 @@
-"""Unit-dataflow pass and the RPR101-103 flow rules.
+"""Unit inference and signature harvesting (``repro.analysis.unitsig``).
 
-Fixture trees are analyzed with the in-process driver (no cache); each
-rule gets at least one true positive and one clean negative, plus
-inference-mechanics tests for assignment chains, mixed arithmetic, and
-cross-module call-site propagation.
+Names carry units by the RPR001 suffix convention; the harvested
+signatures, constant values and declared ``PHYSICAL_RANGES`` seed the
+interval pass behind RPR301/RPR303.
 """
 
 import textwrap
 
-from repro.analysis import Analyzer
 from repro.analysis.unitsig import (
     DIMENSIONLESS,
     FIT,
@@ -16,18 +14,6 @@ from repro.analysis.unitsig import (
     harvest_signatures,
     unit_from_name,
 )
-
-
-def run(tmp_path, files, select=None):
-    for rel, text in files.items():
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(textwrap.dedent(text), encoding="utf-8")
-    return Analyzer(root=tmp_path, select=select).analyze_paths([tmp_path])
-
-
-def rules_hit(result):
-    return [f.rule for f in result.findings]
 
 
 class TestNameInference:
@@ -53,17 +39,25 @@ class TestNameInference:
 
 
 class TestHarvest:
-    def test_explicit_constant_units_override_name_inference(self):
+    def test_constant_values_and_declared_ranges(self):
         import ast
 
         tree = ast.parse(textwrap.dedent("""
-            BOLTZMANN_EV_PER_K = 8.6e-5
+            MIN_TEMPERATURE_K = 200.0
             TARGET_FIT = 4000.0
-            CONSTANT_UNITS = {"BOLTZMANN_EV_PER_K": "eV/K"}
+            PHYSICAL_RANGES = {
+                "K": [MIN_TEMPERATURE_K, 500.0],
+                "hours": [0.0, None, True],
+            }
         """))
         harvest = harvest_signatures(tree, "mod")
-        assert harvest["constants"]["TARGET_FIT"] == "FIT"
-        assert harvest["constants"]["BOLTZMANN_EV_PER_K"] == "eV/K"
+        assert harvest["values"] == {
+            "MIN_TEMPERATURE_K": 200.0, "TARGET_FIT": 4000.0,
+        }
+        assert harvest["ranges"] == {
+            "K": [200.0, 500.0, False],
+            "hours": [0.0, None, True],
+        }
 
     def test_function_and_method_signatures(self):
         import ast
@@ -83,196 +77,3 @@ class TestHarvest:
         assert harvest["functions"]["mod.Model.fit_at"]["params"] == [
             ["voltage_v", "V"]
         ]
-
-
-class TestRPR101:
-    def test_kelvin_minus_celsius_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def headroom(peak_temperature_k: float, ambient_c: float):
-                    return peak_temperature_k - ambient_c
-            """,
-        }, select=["RPR101"])
-        assert rules_hit(result) == ["RPR101"]
-        assert "kelvin and Celsius" in result.findings[0].message
-
-    def test_assignment_chain_propagates_units(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def f(sensor_temperature_k: float, ambient_c: float):
-                    t = sensor_temperature_k
-                    u = t
-                    return u - ambient_c
-            """,
-        }, select=["RPR101"])
-        assert rules_hit(result) == ["RPR101"]
-
-    def test_temperature_delta_algebra_is_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def cycle(hot_temperature_k: float, cold_temperature_k: float):
-                    delta = hot_temperature_k - cold_temperature_k
-                    restored_k = cold_temperature_k + delta
-                    return restored_k
-            """,
-        }, select=["RPR101"])
-        assert result.findings == []
-
-    def test_same_unit_arithmetic_is_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def total(core_power_w: float, cache_power_w: float):
-                    combined_w = core_power_w + cache_power_w
-                    return 2.0 * combined_w
-            """,
-        }, select=["RPR101"])
-        assert result.findings == []
-
-    def test_watts_compared_to_volts_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def check(power_w: float, voltage_v: float):
-                    return power_w < voltage_v
-            """,
-        }, select=["RPR101"])
-        assert rules_hit(result) == ["RPR101"]
-
-    def test_branch_merge_keeps_agreeing_units(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def pick(hot: bool, a_temperature_k: float, b_temperature_k: float,
-                         ambient_c: float):
-                    if hot:
-                        t = a_temperature_k
-                    else:
-                        t = b_temperature_k
-                    return t - ambient_c
-            """,
-        }, select=["RPR101"])
-        assert rules_hit(result) == ["RPR101"]
-
-    def test_skips_test_files(self, tmp_path):
-        result = run(tmp_path, {
-            "tests/test_mod.py": """
-                def check(temperature_k: float, ambient_c: float):
-                    return temperature_k - ambient_c
-            """,
-        }, select=["RPR101"])
-        assert result.findings == []
-
-
-class TestRPR102:
-    def test_cross_module_call_with_wrong_dimension_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/models.py": """
-                def black_mttf_hours(temperature_k: float) -> float:
-                    return temperature_k
-            """,
-            "src/use.py": """
-                from models import black_mttf_hours
-
-                def worst(vdd_v: float):
-                    return black_mttf_hours(vdd_v)
-            """,
-        }, select=["RPR102"])
-        assert rules_hit(result) == ["RPR102"]
-        assert "temperature_k" in result.findings[0].message
-
-    def test_keyword_name_checks_without_signature(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def use(model, frequency_ghz: float):
-                    return model.evaluate(temperature_k=frequency_ghz)
-            """,
-        }, select=["RPR102"])
-        assert rules_hit(result) == ["RPR102"]
-
-    def test_correct_units_and_literals_are_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/models.py": """
-                def black_mttf_hours(temperature_k: float) -> float:
-                    return temperature_k
-            """,
-            "src/use.py": """
-                from models import black_mttf_hours
-
-                def worst(junction_temperature_k: float):
-                    fine = black_mttf_hours(junction_temperature_k)
-                    also_fine = black_mttf_hours(360.0)
-                    return fine + also_fine
-            """,
-        }, select=["RPR102"])
-        assert result.findings == []
-
-    def test_scale_conversion_literal_is_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def f(sink, frequency_khz: float):
-                    return sink.tune(frequency_hz=frequency_khz * 1000.0)
-            """,
-        }, select=["RPR102"])
-        assert result.findings == []
-
-
-class TestRPR103:
-    def test_hours_compared_to_fit_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def gate(mttf_hours: float, budget_fit: float) -> bool:
-                    return mttf_hours < budget_fit
-            """,
-        }, select=["RPR103"])
-        assert rules_hit(result) == ["RPR103"]
-        assert "mttf_hours_to_fit" in result.findings[0].message
-
-    def test_fit_passed_to_hours_parameter_fires(self, tmp_path):
-        result = run(tmp_path, {
-            "src/models.py": """
-                def derate(mttf_hours: float) -> float:
-                    return mttf_hours
-            """,
-            "src/use.py": """
-                from models import derate
-
-                def apply(total_fit: float):
-                    return derate(mttf_hours=total_fit)
-            """,
-        }, select=["RPR103"])
-        assert rules_hit(result) == ["RPR103"]
-
-    def test_explicit_conversion_is_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                DEVICE_HOURS_PER_FIT_UNIT = 1.0e9
-                CONSTANT_UNITS = {"DEVICE_HOURS_PER_FIT_UNIT": "device_hours"}
-
-                def gate(mttf_hours: float, budget_fit: float) -> bool:
-                    observed_fit = DEVICE_HOURS_PER_FIT_UNIT / mttf_hours
-                    return observed_fit > budget_fit
-            """,
-        }, select=["RPR103"])
-        assert result.findings == []
-
-    def test_inline_suppression_covers_multiline_statement(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def gate(combine, mttf_hours: float, budget_fit: float):
-                    return combine(
-                        mttf_hours
-                        < budget_fit  # repro: ignore[RPR103] mixing is the point
-                    )
-            """,
-        }, select=["RPR103"])
-        assert result.findings == []
-        assert [f.rule for f in result.suppressed] == ["RPR103"]
-
-
-class TestExplain:
-    def test_flow_rules_document_themselves(self):
-        from repro.analysis.registry import get_rule
-
-        for rule_id in ("RPR101", "RPR102", "RPR103"):
-            text = get_rule(rule_id).explain()
-            assert rule_id in text
-            assert "example:" in text
-            assert f"# repro: ignore[{rule_id}]" in text

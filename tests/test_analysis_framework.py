@@ -40,13 +40,13 @@ class TestSuppressions:
 
     def test_comment_block_covers_first_code_line_after_it(self):
         index = parse_suppressions([
-            "# repro: ignore[RPR003] registered at import time and",
+            "# repro: ignore[RPR006] registered at import time and",
             "# picklable by name in the worker process.",
             "pool.submit(worker, job)",
             "pool.submit(other, job)",
         ])
-        assert index.covers(finding(rule="RPR003", line=3))
-        assert not index.covers(finding(rule="RPR003", line=4))
+        assert index.covers(finding(rule="RPR006", line=3))
+        assert not index.covers(finding(rule="RPR006", line=4))
 
     def test_multiple_rules_in_one_comment(self):
         index = parse_suppressions(["x  # repro: ignore[RPR001, RPR004]"])
@@ -72,26 +72,26 @@ class TestStatementSpans:
 
     def test_decorator_line_covers_the_def_header(self):
         index = self.parse("""
-            @dataclass(frozen=True)  # repro: ignore[RPR003] dynamic job
+            @dataclass(frozen=True)  # repro: ignore[RPR006] dynamic job
             class OddJob:
                 field: int = 1
         """)
-        assert index.covers(finding(rule="RPR003", line=1))
-        assert index.covers(finding(rule="RPR003", line=2))
+        assert index.covers(finding(rule="RPR006", line=1))
+        assert index.covers(finding(rule="RPR006", line=2))
         # Header only: the class body is not swallowed.
-        assert not index.covers(finding(rule="RPR003", line=3))
+        assert not index.covers(finding(rule="RPR006", line=3))
 
     def test_multiline_call_covers_every_physical_line(self):
         index = self.parse("""
             total = combine(
                 fit_budget,
-                mttf_hours,  # repro: ignore[RPR103] unit mix is the point
+                mttf_hours,  # repro: ignore[RPR301] unit mix is the point
             )
             after = 1
         """)
         for line in (1, 2, 3, 4):
-            assert index.covers(finding(rule="RPR103", line=line))
-        assert not index.covers(finding(rule="RPR103", line=5))
+            assert index.covers(finding(rule="RPR301", line=line))
+        assert not index.covers(finding(rule="RPR301", line=5))
 
     def test_smallest_enclosing_statement_wins(self):
         # Inside a function body, a suppression attaches to its own
@@ -106,25 +106,25 @@ class TestStatementSpans:
 
     def test_comment_block_above_decorator_covers_the_header(self):
         index = self.parse("""
-            # repro: ignore[RPR003] constructed dynamically on purpose
+            # repro: ignore[RPR006] constructed dynamically on purpose
             @dataclass(frozen=True)
             class OddJob:
                 field: int = 1
         """)
-        assert index.covers(finding(rule="RPR003", line=2))
-        assert index.covers(finding(rule="RPR003", line=3))
-        assert not index.covers(finding(rule="RPR003", line=4))
+        assert index.covers(finding(rule="RPR006", line=2))
+        assert index.covers(finding(rule="RPR006", line=3))
+        assert not index.covers(finding(rule="RPR006", line=4))
 
     def test_without_a_tree_only_the_comment_line_is_covered(self):
         lines = [
             "total = combine(",
             "    fit_budget,",
-            "    mttf_hours,  # repro: ignore[RPR103] unit mix",
+            "    mttf_hours,  # repro: ignore[RPR301] unit mix",
             ")",
         ]
         index = parse_suppressions(lines)
-        assert index.covers(finding(rule="RPR103", line=3))
-        assert not index.covers(finding(rule="RPR103", line=1))
+        assert index.covers(finding(rule="RPR301", line=3))
+        assert not index.covers(finding(rule="RPR301", line=1))
 
 
 class TestFingerprints:
@@ -161,7 +161,7 @@ class TestEmitters:
         run = sarif["runs"][0]
         driver = run["tool"]["driver"]
         rule_ids = {r["id"] for r in driver["rules"]}
-        assert {"RPR001", "RPR002", "RPR003", "RPR004", "RPR005"} <= rule_ids
+        assert {"RPR001", "RPR004", "RPR005", "RPR006", "RPR201"} <= rule_ids
         sarif_result = run["results"][0]
         assert sarif_result["ruleId"] == "RPR004"
         assert sarif_result["level"] == "error"

@@ -18,8 +18,8 @@ CLEAN = """
 """
 
 DIRTY = """
-    def headroom(peak_temperature_k: float, ambient_c: float) -> float:
-        return peak_temperature_k - ambient_c
+    def at_limit(peak_temperature_k: float) -> bool:
+        return peak_temperature_k == 358.15
 """
 
 CLEAN_WITH_NEW_SIGNATURE = """
@@ -86,9 +86,9 @@ class TestWarmRuns:
         ]
 
     def test_findings_survive_the_cache(self, tree):
-        cold = analyze(tree, select=["RPR101"])
-        warm = analyze(tree, select=["RPR101"])
-        assert [f.rule for f in cold.findings] == ["RPR101"]
+        cold = analyze(tree, select=["RPR004"])
+        warm = analyze(tree, select=["RPR004"])
+        assert [f.rule for f in cold.findings] == ["RPR004"]
         assert [(f.rule, f.path, f.line, f.message) for f in warm.findings] == [
             (f.rule, f.path, f.line, f.message) for f in cold.findings
         ]
@@ -139,11 +139,36 @@ class TestInvalidation:
         assert result.stats["parsed"] == 3
 
     def test_rule_selection_is_part_of_the_key(self, tree):
-        analyze(tree, select=["RPR101"])
-        other = analyze(tree, select=["RPR102"])
+        analyze(tree, select=["RPR004"])
+        other = analyze(tree, select=["RPR001"])
         assert other.stats["analyzed"] == 3
-        again = analyze(tree, select=["RPR101"])
+        again = analyze(tree, select=["RPR004"])
         assert again.stats["cached"] == 3
+
+    def test_envelope_edit_reanalyzes_the_tree(self, tmp_path):
+        # Declared envelopes seed the interval pass and ride in the
+        # signature digest: opening the lower bound of "hours" makes
+        # the division reachable-by-zero in an untouched file.
+        write_tree(tmp_path, {
+            "src/ranges.py": """
+                PHYSICAL_RANGES = {"hours": [0.0, None, True]}
+            """,
+            "src/rate.py": """
+                def rate(mttf_hours: float) -> float:
+                    return 1.0 / mttf_hours
+            """,
+        })
+        assert analyze(tmp_path, select=["RPR301"]).findings == []
+        write_tree(tmp_path, {
+            "src/ranges.py": """
+                PHYSICAL_RANGES = {"hours": [0.0, None]}
+            """,
+        })
+        result = analyze(tmp_path, select=["RPR301"])
+        assert result.stats["analyzed"] == 2
+        assert [(f.rule, f.path) for f in result.findings] == [
+            ("RPR301", "src/rate.py")
+        ]
 
     def test_parse_error_is_reported_cold_and_warm(self, tree):
         write_tree(tree, {"src/broken.py": "def oops(:\n"})
@@ -160,9 +185,7 @@ class TestRuleResultKeys:
         base = dict(
             rel_path="src/mod.py",
             digest="abc123",
-            rule_ids=["RPR101", "RPR102"],
-            in_scope=False,
-            scope_global=False,
+            rule_ids=["RPR001", "RPR004"],
             sig_hash="sig456",
         )
         base.update(overrides)
@@ -173,9 +196,7 @@ class TestRuleResultKeys:
         variants = [
             rule_result_key(**self.kwargs(rel_path="src/other.py")),
             rule_result_key(**self.kwargs(digest="def789")),
-            rule_result_key(**self.kwargs(rule_ids=["RPR101"])),
-            rule_result_key(**self.kwargs(in_scope=True)),
-            rule_result_key(**self.kwargs(scope_global=True)),
+            rule_result_key(**self.kwargs(rule_ids=["RPR001"])),
             rule_result_key(**self.kwargs(sig_hash="sig999")),
         ]
         monkeypatch.setattr(
@@ -303,89 +324,6 @@ class TestCallGraphLayer:
 
     def test_file_only_selection_skips_the_pass(self, tmp_path):
         tree = self.tree(tmp_path)
-        result = analyze(tree, select=["RPR101"])
+        result = analyze(tree, select=["RPR004"])
         assert result.stats["callgraph_rules"] == 0
         assert result.stats["callgraph_pass"] == "skipped"
-
-
-RANGED = """
-    PHYSICAL_RANGES = {
-        "K": [200.0, 500.0],
-    }
-"""
-
-COLD_CONST = """
-    START_TEMPERATURE_K = 50.0
-"""
-
-WARM_CONST = """
-    START_TEMPERATURE_K = 318.0
-"""
-
-SUPPRESSED_CONST = """
-    START_TEMPERATURE_K = 50.0  # repro: ignore[RPR302] fixture
-"""
-
-
-class TestRangePassLayer:
-    """The interval/range pass is the fourth cached layer: per-file
-    interval facts keyed on content, the project range check keyed on
-    facts + suppressions + the signature-table digest."""
-
-    def tree(self, tmp_path):
-        write_tree(tmp_path, {
-            "src/ranges.py": RANGED,
-            "src/consts.py": COLD_CONST,
-            "src/alpha.py": CLEAN,
-        })
-        return tmp_path
-
-    def test_findings_replay_from_the_cached_pass(self, tmp_path):
-        tree = self.tree(tmp_path)
-        cold = analyze(tree, select=["RPR302"])
-        assert cold.stats["range_pass"] == "computed"
-        assert cold.stats["intervals_misses"] == 3
-        assert [f.rule for f in cold.findings] == ["RPR302"]
-        warm = analyze(tree, select=["RPR302"])
-        assert warm.stats["range_pass"] == "cached"
-        assert warm.stats["intervals_hits"] == 3
-        assert warm.stats["analyzed"] == 0
-        assert [(f.path, f.line, f.context) for f in warm.findings] == [
-            (f.path, f.line, f.context) for f in cold.findings
-        ]
-
-    def test_unrelated_body_edit_keeps_the_pass(self, tmp_path):
-        tree = self.tree(tmp_path)
-        analyze(tree, select=["RPR302"])
-        write_tree(tree, {
-            "src/alpha.py": """
-                def total(core_power_w: float, cache_power_w: float) -> float:
-                    return cache_power_w + core_power_w
-            """,
-        })
-        result = analyze(tree, select=["RPR302"])
-        assert result.stats["analyzed"] == 1
-        assert result.stats["range_pass"] == "cached"
-
-    def test_value_edit_recomputes_the_pass(self, tmp_path):
-        tree = self.tree(tmp_path)
-        analyze(tree, select=["RPR302"])
-        write_tree(tree, {"src/consts.py": WARM_CONST})
-        result = analyze(tree, select=["RPR302"])
-        assert result.stats["range_pass"] == "computed"
-        assert result.findings == []
-
-    def test_suppression_edit_recomputes_the_pass(self, tmp_path):
-        tree = self.tree(tmp_path)
-        analyze(tree, select=["RPR302"])
-        write_tree(tree, {"src/consts.py": SUPPRESSED_CONST})
-        result = analyze(tree, select=["RPR302"])
-        assert result.stats["range_pass"] == "computed"
-        assert result.findings == []
-        assert [f.rule for f in result.suppressed] == ["RPR302"]
-
-    def test_file_only_selection_skips_the_pass(self, tmp_path):
-        tree = self.tree(tmp_path)
-        result = analyze(tree, select=["RPR101"])
-        assert result.stats["range_rules"] == 0
-        assert result.stats["range_pass"] == "skipped"

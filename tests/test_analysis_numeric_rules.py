@@ -1,10 +1,10 @@
-"""Fixture tests for the interval-domain rules (RPR301-312).
+"""Fixture tests for the interval-domain and hot-path rules (RPR301-312).
 
 Same harness idiom as ``test_analysis_rules``: throwaway trees under
 ``tmp_path``, one true positive and one clean (or suppressed) negative
 per rule.  Paths under ``src/repro/kernels`` (etc.) make the module
-*hot* for the performance rules; the declared-range rule reads a
-``PHYSICAL_RANGES`` table from the fixture tree itself.
+*hot* for the performance rules; the interval pass seeds parameters
+from a ``PHYSICAL_RANGES`` table in the fixture tree itself.
 """
 
 import textwrap
@@ -97,54 +97,7 @@ class TestReachableDomainError:
 
 
 class TestDeclaredRange:
-    def test_out_of_range_constant(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/constants.py": RANGES,
-            "src/repro/core/mod.py": """
-                START_TEMPERATURE_K = 50.0
-            """,
-        }, select=["RPR302"])
-        assert rules_hit(result) == ["RPR302"]
-        assert result.findings[0].context == "const:START_TEMPERATURE_K"
-
-    def test_out_of_range_default(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/constants.py": RANGES,
-            "src/repro/core/mod.py": """
-                def solve(temperature_k: float = 900.0) -> float:
-                    return temperature_k
-            """,
-        }, select=["RPR302"])
-        assert rules_hit(result) == ["RPR302"]
-
-    def test_out_of_range_cross_module_argument(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/constants.py": RANGES,
-            "src/repro/core/mod_a.py": """
-                def solve(temperature_k: float) -> float:
-                    return temperature_k
-            """,
-            "src/repro/core/mod_b.py": """
-                from repro.core import mod_a
-
-                def drive() -> float:
-                    return mod_a.solve(900.0)
-            """,
-        }, select=["RPR302"])
-        assert rules_hit(result) == ["RPR302"]
-        assert result.findings[0].path.endswith("mod_b.py")
-
-    def test_in_range_values_are_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/constants.py": RANGES,
-            "src/repro/core/mod.py": """
-                START_TEMPERATURE_K = 318.0
-
-                def solve(temperature_k: float = 358.0) -> float:
-                    return temperature_k
-            """,
-        }, select=["RPR302"])
-        assert result.findings == []
+    """Declared envelopes seed parameters, widened by literal defaults."""
 
     def test_zero_default_accumulator_is_clean(self, tmp_path):
         # The WearState shape: elapsed hours start at zero, and only a
@@ -158,7 +111,7 @@ class TestDeclaredRange:
                             raise ValueError("hours must be non-negative")
                         self.hours = hours
             """,
-        }, select=["RPR301", "RPR302"])
+        }, select=["RPR301"])
         assert result.findings == []
 
     def test_zero_default_that_reaches_a_division_fires(self, tmp_path):
@@ -173,38 +126,9 @@ class TestDeclaredRange:
                 def safe_rate(count: float, hours: float) -> float:
                     return count / hours
             """,
-        }, select=["RPR301", "RPR302"])
+        }, select=["RPR301"])
         assert rules_hit(result) == ["RPR301"]
         assert result.findings[0].line == 3
-
-    def test_zero_duration_argument_still_fires(self, tmp_path):
-        # Values crossing a call boundary keep the strict envelope: the
-        # callee's interval pass cannot see them.
-        result = run(tmp_path, {
-            "src/repro/constants.py": RANGES,
-            "src/repro/core/mod_a.py": """
-                def per_hour(count: float, hours: float) -> float:
-                    return count / hours
-            """,
-            "src/repro/core/mod_b.py": """
-                from repro.core import mod_a
-
-                def drive() -> float:
-                    return mod_a.per_hour(3.0, hours=0.0)
-            """,
-        }, select=["RPR302"])
-        assert rules_hit(result) == ["RPR302"]
-        assert result.findings[0].path.endswith("mod_b.py")
-
-    def test_suppression(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/constants.py": RANGES,
-            "src/repro/core/mod.py": """
-                TOLERANCE_K = 0.01  # repro: ignore[RPR302] delta, not abs
-            """,
-        }, select=["RPR302"])
-        assert result.findings == []
-        assert [f.rule for f in result.suppressed] == ["RPR302"]
 
 
 class TestUncheckedNanFlow:
@@ -243,52 +167,6 @@ class TestUncheckedNanFlow:
             """,
         }, select=["RPR303"])
         assert result.findings == []
-
-
-class TestArrayRowLoop:
-    def test_loop_over_array_rows(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/kernels/mod.py": """
-                import numpy as np
-
-                def total(xs):
-                    arr = np.asarray(xs)
-                    out = 0.0
-                    for row in arr:
-                        out = out + float(row.sum())
-                    return out
-            """,
-        }, select=["RPR310"])
-        assert rules_hit(result) == ["RPR310"]
-
-    def test_plain_list_loop_is_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/kernels/mod.py": """
-                def total(xs: list) -> float:
-                    out = 0.0
-                    for x in xs:
-                        out = out + x
-                    return out
-            """,
-        }, select=["RPR310"])
-        assert result.findings == []
-
-    def test_suppression(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/kernels/mod.py": """
-                import numpy as np
-
-                def total(xs):
-                    arr = np.asarray(xs)
-                    out = 0.0
-                    # repro: ignore[RPR310] fixture: documented fallback
-                    for row in arr:
-                        out = out + float(row.sum())
-                    return out
-            """,
-        }, select=["RPR310"])
-        assert result.findings == []
-        assert [f.rule for f in result.suppressed] == ["RPR310"]
 
 
 class TestScalarMathCall:
@@ -377,48 +255,33 @@ class TestRedundantArrayCopy:
 class TestFingerprintStability:
     """Project-scope fingerprints must survive pure line moves."""
 
-    def _range_fingerprints(self, tmp_path, body):
-        result = run(tmp_path, {
-            "src/repro/constants.py": RANGES,
-            "src/repro/core/mod.py": body,
-        }, select=["RPR302"])
-        return {f.fingerprint: f.line for f in result.findings}
+    def test_rpr201_fingerprint_survives_line_moves(self, tmp_path):
+        racy = """
+            from concurrent.futures import ThreadPoolExecutor
 
-    def test_rpr302_fingerprint_survives_line_moves(self, tmp_path):
-        original = self._range_fingerprints(tmp_path, """
-            START_TEMPERATURE_K = 50.0
-        """)
-        moved = self._range_fingerprints(tmp_path, """
-            # a new leading comment block
-            # that shifts every following line
-            HELPER_NOTE = "padding"
 
-            START_TEMPERATURE_K = 50.0
-        """)
-        assert set(original) == set(moved)
-        assert list(original.values()) != list(moved.values())
+            class Memo:
+                def __init__(self):
+                    self.grid = {}
+                    self.pool = ThreadPoolExecutor(4)
 
-    def test_rpr204_fingerprint_survives_line_moves(self, tmp_path):
+                def put(self, key):
+                    self.grid[key] = key
+
+                def dispatch(self, key):
+                    self.pool.submit(self.put, key)
+        """
+
         def fingerprints(body):
-            result = run(tmp_path, {
-                "src/repro/serve/mod.py": body,
-            }, select=["RPR204"])
+            result = run(tmp_path, {"src/repro/serve/mod.py": body},
+                         select=["RPR201"])
             return {f.fingerprint: f.line for f in result.findings}
 
-        original = fingerprints("""
-            import asyncio
-
-            async def shutdown(drain):
-                asyncio.create_task(drain())
-        """)
-        moved = fingerprints("""
-            import asyncio
-
-            # an interleaved comment moving the call site down
-
-            async def shutdown(drain):
-
-                asyncio.create_task(drain())
-        """)
+        original = fingerprints(racy)
+        moved = fingerprints(
+            "# an interleaved comment moving the write down\n\n"
+            + textwrap.dedent(racy)
+        )
+        assert original
         assert set(original) == set(moved)
         assert list(original.values()) != list(moved.values())

@@ -122,137 +122,6 @@ class TestUnitSuffix:
         assert all("temperature" in f.message for f in result.findings)
 
 
-class TestDeterminism:
-    def test_flags_wall_clock_rng_and_set_order(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                import random
-                import time
-
-                def key(items):
-                    stamp = time.time()
-                    salt = random.random()
-                    return list({stamp, salt})
-            """,
-        }, select=["RPR002"])
-        assert rules_hit(result) == ["RPR002", "RPR002", "RPR002"]
-
-    def test_flags_builtin_hash_and_unseeded_rng(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                import numpy as np
-
-                def key(spec):
-                    rng = np.random.default_rng()
-                    return hash(spec), rng
-            """,
-        }, select=["RPR002"])
-        assert len(result.findings) == 2
-
-    def test_seeded_rng_and_hashlib_are_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                import hashlib
-                import random
-
-                def key(spec, seed):
-                    rng = random.Random(seed)
-                    return hashlib.sha256(spec).hexdigest(), rng
-            """,
-        }, select=["RPR002"])
-        assert result.findings == []
-
-    def test_scoped_to_import_closure_of_engine_jobs(self, tmp_path):
-        # When repro/engine/jobs.py exists, only its import closure is
-        # policed; an unreachable module may read the clock freely.
-        result = run(tmp_path, {
-            "src/repro/engine/jobs.py": """
-                import repro.hashing
-            """,
-            "src/repro/hashing.py": """
-                import time
-
-                def stamp():
-                    return time.time()
-            """,
-            "src/repro/reporting.py": """
-                import time
-
-                def stamp():
-                    return time.time()
-            """,
-        }, select=["RPR002"])
-        assert [f.path for f in result.findings] == ["src/repro/hashing.py"]
-
-    def test_fixture_mode_skips_test_files(self, tmp_path):
-        result = run(tmp_path, {
-            "tests/test_mod.py": """
-                import time
-
-                def stamp():
-                    return time.time()
-            """,
-        }, select=["RPR002"])
-        assert result.findings == []
-
-
-class TestPoolSafety:
-    def test_flags_lambda_and_local_def_submissions(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def launch(pool, jobs):
-                    def helper(job):
-                        return job
-
-                    pool.submit(lambda: jobs[0])
-                    pool.map(helper, jobs)
-            """,
-        }, select=["RPR003"])
-        assert rules_hit(result) == ["RPR003", "RPR003"]
-
-    def test_module_level_callable_is_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def worker(job):
-                    return job
-
-                def launch(pool, jobs):
-                    pool.submit(worker, jobs[0])
-            """,
-        }, select=["RPR003"])
-        assert result.findings == []
-
-    def test_flags_unfrozen_job_subclass(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                from dataclasses import dataclass
-
-                @dataclass
-                class MutableJob(Job):
-                    name: str
-            """,
-        }, select=["RPR003"])
-        assert rules_hit(result) == ["RPR003"]
-
-    def test_frozen_and_abstract_job_subclasses_are_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                import abc
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class GoodJob(Job):
-                    name: str
-
-                class BaseJob(abc.ABC):
-                    @abc.abstractmethod
-                    def run(self):
-                        ...
-            """,
-        }, select=["RPR003"])
-        assert result.findings == []
-
-
 class TestFloatEquality:
     def test_flags_float_literal_and_inf_comparisons(self, tmp_path):
         result = run(tmp_path, {
@@ -360,63 +229,6 @@ class TestBroadExcept:
         assert result.findings == []
 
 
-class TestSwallowedInterrupt:
-    def test_flags_swallowed_interrupt_handlers(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def quiet(fn):
-                    try:
-                        return fn()
-                    except KeyboardInterrupt:
-                        return None
-
-                def swallow(fn, log):
-                    try:
-                        return fn()
-                    except (ValueError, BaseException):
-                        log.flush()
-
-                def mute(fn):
-                    try:
-                        return fn()
-                    except:
-                        pass
-            """,
-        }, select=["RPR007"])
-        assert rules_hit(result) == ["RPR007", "RPR007", "RPR007"]
-
-    def test_applies_inside_test_files_too(self, tmp_path):
-        result = run(tmp_path, {
-            "tests/test_mod.py": """
-                def test_probe(fn):
-                    try:
-                        fn()
-                    except BaseException:
-                        pass
-            """,
-        }, select=["RPR007"])
-        assert rules_hit(result) == ["RPR007"]
-
-    def test_reraising_and_exception_handlers_are_clean(self, tmp_path):
-        result = run(tmp_path, {
-            "src/mod.py": """
-                def cleanup(tmp, path, log):
-                    try:
-                        return log.replace(tmp, path)
-                    except BaseException:
-                        log.unlink(tmp)
-                        raise
-
-                def load(path):
-                    try:
-                        return open(path)
-                    except Exception:
-                        return None
-            """,
-        }, select=["RPR007"])
-        assert result.findings == []
-
-
 class TestParseErrors:
     def test_unparsable_file_yields_rpr000(self, tmp_path):
         result = run(tmp_path, {
@@ -427,83 +239,3 @@ class TestParseErrors:
         assert rules_hit(result) == ["RPR000"]
         assert result.parse_errors == 1
         assert not result.clean
-
-
-class TestAsyncBlocking:
-    def test_flags_blocking_calls_in_serve_coroutines(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/serve/worker.py": """
-                import subprocess
-                import time
-
-                async def decide(self, key):
-                    payload = self.cache.get(key)
-                    time.sleep(0.005)
-                    with open("dump.json") as handle:
-                        handle.read()
-                    subprocess.run(["true"])
-                    return payload
-            """,
-        }, select=["RPR008"])
-        assert rules_hit(result) == ["RPR008"] * 4
-        messages = " ".join(f.message for f in result.findings)
-        assert "asyncio.sleep" in messages
-        assert "run_in_executor" in messages
-        assert "cache.get()" in messages
-        assert all("async def decide" in f.message for f in result.findings)
-
-    def test_flags_sync_store_reads_and_path_io(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/serve/state.py": """
-                async def snapshot(self, path, key):
-                    self.store.put(key, "kind", {})
-                    return path.read_text()
-            """,
-        }, select=["RPR008"])
-        assert rules_hit(result) == ["RPR008", "RPR008"]
-
-    def test_clean_async_and_sync_code_pass(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/serve/service.py": """
-                import asyncio
-
-                def warm(self, path):
-                    # Synchronous context: blocking calls are fine here.
-                    return open(path).read()
-
-                async def decide(self, key):
-                    await asyncio.sleep(0)
-                    hit = self.cache.get_memory(key)
-                    if hit is None:
-                        loop = asyncio.get_running_loop()
-                        hit = await loop.run_in_executor(None, self._compute, key)
-                    return hit
-            """,
-        }, select=["RPR008"])
-        assert result.findings == []
-
-    def test_nested_sync_helper_is_exempt(self, tmp_path):
-        result = run(tmp_path, {
-            "src/repro/serve/http.py": """
-                async def flush(self, items):
-                    def on_pool(item):
-                        # Runs on the worker pool, not the event loop.
-                        return self.store.get(item)
-                    return [on_pool(item) for item in items]
-            """,
-        }, select=["RPR008"])
-        assert result.findings == []
-
-    def test_out_of_scope_modules_are_ignored(self, tmp_path):
-        blocking = """
-            import time
-
-            async def tick(self):
-                time.sleep(1.0)
-        """
-        result = run(tmp_path, {
-            "src/repro/harness/poller.py": blocking,
-            "src/repro/servelike/poller.py": blocking,
-            "tests/test_serve_thing.py": blocking,
-        }, select=["RPR008"])
-        assert result.findings == []

@@ -24,7 +24,7 @@ def joint(oracle, platform, test_cache):
 class TestJointFeasibility:
     def test_feasible_choice_satisfies_both(self, joint):
         d = joint.best(BZIP2, t_qual_k=380.0, t_limit_k=380.0)
-        assert d.feasible
+        assert d.meets_target
         assert d.fit <= joint.fit_target + 1e-6
         assert d.peak_temperature_k <= 380.0 + 1e-6
 
@@ -34,7 +34,7 @@ class TestJointFeasibility:
             j = joint.best(BZIP2, t_qual_k=temp, t_limit_k=temp)
             drm = oracle.best(BZIP2, t_qual_k=temp, mode=AdaptationMode.DVS)
             dtm = dtm_oracle.best(BZIP2, t_limit_k=temp)
-            if j.feasible and drm.meets_target and dtm.meets_target:
+            if j.meets_target and drm.meets_target and dtm.meets_target:
                 assert j.op.frequency_hz <= drm.op.frequency_hz + 1e3
                 assert j.op.frequency_hz <= dtm.op.frequency_hz + 1e3
 
@@ -57,7 +57,7 @@ class TestJointFeasibility:
 
     def test_infeasible_pair_reports_violations(self, joint):
         d = joint.best(MPG, t_qual_k=325.0, t_limit_k=326.0)
-        assert not d.feasible
+        assert not d.meets_target
         # The least-violating point is at (or near) the DVS floor.
         assert d.op.frequency_hz <= 3.0e9
 

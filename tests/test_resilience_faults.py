@@ -249,21 +249,24 @@ class TestFaultLog:
 
     def test_torn_trailing_line_skipped(self, tmp_path):
         log = tmp_path / "faults.jsonl"
-        log.write_text(
-            json.dumps({"site": WORKER_CRASH, "key": "k"})
-            + "\n"
-            + '{"site": "executor.worker_cra'
-        )
+        FaultInjector(
+            FaultPlan(name="torn", rates={STORE_CORRUPT: 1.0}), log_path=log
+        ).corrupt_payload("k", "payload-text")
+        whole = log.read_bytes()
+        with open(log, "ab") as handle:
+            handle.write(whole[: len(whole) // 2])
         records = list(iter_fault_log(log))
         assert [r["key"] for r in records] == ["k"]
 
-    def test_legacy_raw_json_lines_still_read(self, tmp_path):
-        """Pre-telemetry fault logs (one raw JSON object per line) parse."""
+    def test_bare_json_lines_are_skipped(self, tmp_path):
+        """A bare JSON object is not a frame: skipped like any damage."""
         log = tmp_path / "faults.jsonl"
-        log.write_text(
-            json.dumps({"site": WORKER_CRASH, "key": "old"}) + "\n"
-        )
-        assert [r["key"] for r in iter_fault_log(log)] == ["old"]
+        FaultInjector(
+            FaultPlan(name="mixed", rates={STORE_CORRUPT: 1.0}), log_path=log
+        ).corrupt_payload("framed", "payload-text")
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"site": WORKER_CRASH, "key": "bare"}) + "\n")
+        assert [r["key"] for r in iter_fault_log(log)] == ["framed"]
 
     def test_missing_log_yields_nothing(self, tmp_path):
         assert list(iter_fault_log(tmp_path / "absent.jsonl")) == []
