@@ -9,8 +9,8 @@ This module supplies the reachability substrate in two stages:
    its AST as plain JSON-able data (and therefore cacheable by content
    hash, exactly like the unit-signature harvest): every function's
    calls, attribute writes, lock acquisitions (``with`` / ``async
-   with`` scopes), async coloring, local variable types, plus the
-   file's classes, attribute types, and import aliases.
+   with`` scopes), local variable types, plus the file's classes,
+   attribute types, and import aliases.
 
 2. :meth:`CallGraph.build` — the merged, project-wide graph.  Raw call
    expressions are resolved against the harvested definitions:
@@ -27,8 +27,8 @@ This module supplies the reachability substrate in two stages:
      dedicated edge kinds;
    - thread-boundary wrappers — ``loop.run_in_executor``,
      ``threading.Thread(target=...)``, ``pool.submit`` on a
-     thread-pool-typed receiver, ``asyncio.create_task`` — as typed
-     edges the escape analysis colors from.
+     thread-pool-typed receiver — as typed edges the escape analysis
+     colors from.
 
 Resolution is deliberately best-effort: an unresolved call simply adds
 no edge, which under-approximates reachability and therefore
@@ -45,7 +45,7 @@ from repro.analysis.imports import build_import_map, dotted_name
 #: Bump when the harvest payload shape or the resolution semantics
 #: change; part of the analyzer's call-graph-pass cache key.
 #: v2: no resource, join, escape, await or ``with``-record facts.
-CALLGRAPH_VERSION = 2
+CALLGRAPH_VERSION = 3
 
 #: Container constructors that produce known non-thread-safe mutable
 #: values (the attribute types the concurrency model resolves).
@@ -168,7 +168,6 @@ class _FunctionHarvester:
         self.qualname = qualname
         self.node = node
         self.module_globals = module_globals
-        self.is_async = isinstance(node, ast.AsyncFunctionDef)
         self.calls: list[dict] = []
         self.writes: list[dict] = []
         self.nested: list[str] = []
@@ -238,16 +237,8 @@ class _FunctionHarvester:
         if last == "submit" and "." in name and call.args:
             recv = name.rsplit(".", 1)[0]
             return arg_expr(call.args[0]), "submit", recv
-        if last in ("create_task", "ensure_future") and call.args:
-            return arg_expr(call.args[0]), "task", None
         if name in ("partial", "functools.partial") and call.args:
             return arg_expr(call.args[0]), "partial", None
-        if last in ("call_soon", "call_later", "call_soon_threadsafe"):
-            idx = 1 if last == "call_later" else 0
-            if len(call.args) > idx:
-                return arg_expr(call.args[idx]), "callback", None
-        if last == "add_done_callback" and call.args:
-            return arg_expr(call.args[0]), "callback", None
         return None, None, None
 
     def _record_write(self, target: ast.expr, op: str, locks: list[str],
@@ -312,7 +303,6 @@ class _FunctionHarvester:
             ):
                 self.self_reads.add(sub.attr)
         return {
-            "async": self.is_async,
             "line": self.node.lineno,
             "calls": self.calls,
             "writes": self.writes,
@@ -474,10 +464,9 @@ class Edge:
     Attributes:
         caller / callee: fully dotted function qualnames.
         line: call-site line in the caller's file.
-        kind: ``call`` (plain), ``task`` (``create_task``), ``thread``
-            (``Thread(target=...)``), ``executor``
-            (``run_in_executor`` / thread-pool ``submit``), ``partial``,
-            ``closure``, or ``callback`` (``call_soon`` family).
+        kind: ``call`` (plain), ``thread`` (``Thread(target=...)``),
+            ``executor`` (``run_in_executor`` / thread-pool ``submit``),
+            ``partial``, or ``closure``.
     """
 
     caller: str
@@ -493,7 +482,6 @@ class FunctionNode:
     qualname: str
     module: str
     rel_path: str
-    is_async: bool
     line: int
     owner_class: str | None
     raw: dict = field(repr=False, default_factory=dict)
@@ -542,7 +530,6 @@ class CallGraph:
                     qualname=f"{module}.{qual}",
                     module=module,
                     rel_path=rel,
-                    is_async=bool(finfo.get("async")),
                     line=finfo.get("line", 1),
                     owner_class=owner,
                     raw=finfo,
@@ -844,18 +831,13 @@ class CallGraph:
 
     # ---- queries -------------------------------------------------------
 
-    def async_functions(self) -> set[str]:
-        """Every ``async def`` in the project (the loop-color seeds)."""
-        return {q for q, n in self.nodes.items() if n.is_async}
-
     def boundary_edges(self, kinds: tuple[str, ...] = ("thread", "executor")
                        ) -> list[Edge]:
         """Edges that move their callee onto another thread."""
         return [e for e in self.edges if e.kind in kinds]
 
     def reachable_from(self, seeds: set[str],
-                       kinds: tuple[str, ...] = ("call", "closure", "partial",
-                                                 "task", "callback"),
+                       kinds: tuple[str, ...] = ("call", "closure", "partial"),
                        ) -> set[str]:
         """Transitive closure over edges of the given kinds."""
         seen: set[str] = set()

@@ -3,13 +3,10 @@
 Built on :mod:`repro.analysis.callgraph`, this module answers the
 questions RPR201 asks:
 
-- **Coloring** — which functions can run on the event loop (every
-  ``async def`` plus everything reachable from one through plain calls,
-  closures, ``partial``, ``create_task``, and loop callbacks) and which
-  can run on a worker thread (the targets of ``run_in_executor`` /
-  ``Thread(target=...)`` / thread-pool ``submit`` edges plus everything
-  they reach).  A function can carry both colors; that is exactly the
-  shared-state hazard surface.
+- **Coloring** — which functions can run on a worker thread: the
+  targets of ``run_in_executor`` / ``Thread(target=...)`` /
+  thread-pool ``submit`` edges plus everything they reach through
+  plain calls, closures and ``partial``.
 
 - **Per-thread classes** — a class whose instances are only ever stored
   behind a ``threading.local`` attribute (``self._local.bundle =
@@ -26,7 +23,7 @@ questions RPR201 asks:
 
 The lattice a (class, attribute) lands in:
 
-    per-thread-confined  <  loop-confined  <  shared-with-locks  <  shared-unlocked
+    per-thread-confined  <  shared-with-locks  <  shared-unlocked
 
 Only the last is a finding (RPR201); the rule in
 :mod:`repro.analysis.rules.concurrency_rules` walks this model rather
@@ -68,11 +65,9 @@ class ConcurrencyModel:
     """The derived concurrency facts for one project (see module doc)."""
 
     graph: CallGraph
-    loop_colored: set[str] = field(default_factory=set)
     thread_colored: set[str] = field(default_factory=set)
     thread_entries: set[str] = field(default_factory=set)
     per_thread_classes: set[str] = field(default_factory=set)
-    class_locks: dict[str, set[str]] = field(default_factory=dict)
     #: (class qualname, attr) -> write sites;  ("", "module.NAME") for
     #: module globals.
     writes: dict[tuple[str, str], list[WriteSite]] = field(
@@ -94,10 +89,6 @@ class ConcurrencyModel:
     # ---- coloring ------------------------------------------------------
 
     def _color(self) -> None:
-        self.loop_colored = self.graph.reachable_from(
-            self.graph.async_functions(),
-            kinds=("call", "closure", "partial", "task", "callback"),
-        )
         self.thread_entries = {
             e.callee for e in self.graph.boundary_edges(("thread", "executor"))
         }
@@ -255,14 +246,6 @@ class ConcurrencyModel:
                         in_init=in_init,
                     )
                 )
-        # Lock-typed attributes per class.
-        for cqual, cinfo in self.graph.classes.items():
-            locks = {
-                attr
-                for attr, atype in cinfo.get("attr_types", {}).items()
-                if atype in ("lock", "asynclock")
-            }
-            self.class_locks[cqual] = locks
 
     # ---- classification queries ---------------------------------------
 

@@ -56,7 +56,8 @@ DEFAULT_CACHE_DIR = ".repro-cache/analysis"
 #: Bump when the harvest payload shape or semantics change.
 #: v4: test files carry no call-graph facts (they never enter the graph).
 #: v5: no import edges; call-graph facts at CALLGRAPH_VERSION 2.
-HARVEST_VERSION = 5
+#: v6: no async flag, no task/callback wrapper targets (CALLGRAPH_VERSION 3).
+HARVEST_VERSION = 6
 
 #: Bump whenever any rule's logic changes in a way that can alter its
 #: findings; cached verdicts from older rule code then read as misses.

@@ -110,7 +110,6 @@ PHYSICAL_RANGES: dict[str, list] = {
     "mm2": [0.0, None, True],
     "m2": [0.0, None, True],
     "um2": [0.0, None, True],
-    "device_hours": [0.0, None, True],
     # Name-token envelopes for dimensionless quantities.
     "probability": [0.0, 1.0],
     "activity": [0.0, 1.0],

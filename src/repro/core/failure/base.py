@@ -77,12 +77,43 @@ class FailureMechanism(abc.ABC):
     scales_with_powered_area: bool = False
 
     @abc.abstractmethod
-    def relative_mttf(self, conditions: StressConditions) -> float:
+    def mttf_expression(
+        self,
+        temperature_k: np.ndarray,
+        voltage_v: np.ndarray,
+        frequency_hz: np.ndarray,
+        activity: np.ndarray,
+        v_nominal: float,
+        f_nominal: float,
+    ) -> np.ndarray:
         """The MTTF expression with unit proportionality constant.
 
-        Returns ``math.inf`` when the mechanism cannot act at all under
-        the given conditions (e.g. electromigration at zero activity).
+        The mechanism's one implementation of its device model, over
+        broadcastable arrays or 0-d ``np.float64`` scalars.  It yields
+        ``inf`` wherever the mechanism cannot act at all (e.g.
+        electromigration at zero activity).  Callers suppress the
+        divide/invalid warnings that the ``inf`` cases raise.
         """
+
+    def relative_mttf(self, conditions: StressConditions) -> float:
+        """:meth:`mttf_expression` for one structure, as a batch of one.
+
+        Evaluated on 0-d ``np.float64`` inputs: numpy's scalar ``pow``
+        and ``exp`` are the libm routines, so the result is bit-identical
+        to plain float arithmetic (qualification constants depend on
+        that), whereas array inputs take numpy's SIMD ``pow``.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(
+                self.mttf_expression(
+                    np.float64(conditions.temperature_k),
+                    np.float64(conditions.voltage_v),
+                    np.float64(conditions.frequency_hz),
+                    np.float64(conditions.activity),
+                    conditions.v_nominal,
+                    conditions.f_nominal,
+                )
+            )
 
     def relative_fit(self, conditions: StressConditions) -> float:
         """Reciprocal of :meth:`relative_mttf` (0 when MTTF is infinite)."""
@@ -104,38 +135,23 @@ class FailureMechanism(abc.ABC):
         v_nominal: float,
         f_nominal: float,
     ) -> np.ndarray:
-        """Vectorized :meth:`relative_fit` over broadcastable arrays.
+        """Reciprocal of :meth:`mttf_expression` over broadcastable arrays.
 
         Inputs must already satisfy the :class:`StressConditions`
         invariants elementwise (temperature range, activity in [0, 1],
         positive voltage/frequency) — the batch kernel validates them
-        once per grid instead of once per element.
-
-        The four built-in mechanisms override this with closed-form
-        array expressions; this fallback evaluates the scalar model per
-        element so custom mechanisms stay correct without extra work.
+        once per grid instead of once per element.  An infinite MTTF
+        gives zero FIT; an MTTF that underflows to zero gives an
+        infinite FIT, which the caller's finite-checks reject.  The
+        result has the broadcast shape of all four inputs.
         """
-        t, v, f, a = np.broadcast_arrays(
-            temperature_k, voltage_v, frequency_hz, activity
-        )
-        out = np.empty(t.shape, dtype=float)
-        flat = out.reshape(-1)
-        # Scalar fallback: mechanisms without a closed-form batch
-        # override evaluate per element.
-        for i, (ti, vi, fi, ai) in enumerate(
-            zip(t.reshape(-1), v.reshape(-1), f.reshape(-1), a.reshape(-1))
-        ):
-            flat[i] = self.relative_fit(
-                StressConditions(
-                    temperature_k=float(ti),
-                    voltage_v=float(vi),
-                    frequency_hz=float(fi),
-                    activity=float(ai),
-                    v_nominal=v_nominal,
-                    f_nominal=f_nominal,
-                )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fit = 1.0 / self.mttf_expression(
+                temperature_k, voltage_v, frequency_hz, activity,
+                v_nominal, f_nominal,
             )
-        return out
+        shape = np.broadcast(temperature_k, voltage_v, frequency_hz, activity).shape
+        return np.broadcast_to(fit, shape)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

@@ -23,8 +23,6 @@ Ea = 0.9 eV (JEDEC JEP122-A via the paper).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.constants import (
@@ -32,7 +30,7 @@ from repro.constants import (
     EM_ACTIVATION_ENERGY_EV,
     EM_CURRENT_DENSITY_EXPONENT,
 )
-from repro.core.failure.base import FailureMechanism, StressConditions
+from repro.core.failure.base import FailureMechanism
 
 
 class Electromigration(FailureMechanism):
@@ -54,17 +52,7 @@ class Electromigration(FailureMechanism):
         self.n = current_density_exponent
         self.ea_ev = activation_energy_ev
 
-    def relative_mttf(self, conditions: StressConditions) -> float:
-        """(J_rel)^(-n) · exp(Ea/kT); infinite at zero current density."""
-        j_rel = conditions.v_ratio * conditions.f_ratio * conditions.activity
-        if j_rel <= 0.0:
-            return math.inf
-        arrhenius = float(np.exp(
-            self.ea_ev / (BOLTZMANN_EV_PER_K * conditions.temperature_k)
-        ))
-        return j_rel ** (-self.n) * arrhenius
-
-    def relative_fit_batch(
+    def mttf_expression(
         self,
         temperature_k: np.ndarray,
         voltage_v: np.ndarray,
@@ -73,14 +61,9 @@ class Electromigration(FailureMechanism):
         v_nominal: float,
         f_nominal: float,
     ) -> np.ndarray:
-        """Array form of :meth:`relative_mttf` reciprocal.
-
-        Mirrors the scalar operation order (both paths use ``np.exp``),
-        so per-element results match the scalar model exactly.
-        """
+        """(J_rel)^(-n) · exp(Ea/kT); infinite at zero current density."""
+        # repro: ignore[RPR303] nominal V/f are validated positive; callers
+        # evaluate under np.errstate, where inf means "cannot act".
         j_rel = (voltage_v / v_nominal) * (frequency_hz / f_nominal) * activity
         arrhenius = np.exp(self.ea_ev / (BOLTZMANN_EV_PER_K * temperature_k))
-        with np.errstate(divide="ignore"):
-            mttf = j_rel ** (-self.n) * arrhenius
-            fit = np.where(j_rel > 0.0, 1.0 / mttf, 0.0)
-        return fit
+        return j_rel ** (-self.n) * arrhenius

@@ -18,8 +18,6 @@ Ea = 0.9 eV, T_metal = 500 K.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.constants import (
@@ -27,7 +25,7 @@ from repro.constants import (
     SM_ACTIVATION_ENERGY_EV,
     SM_STRESS_EXPONENT,
 )
-from repro.core.failure.base import FailureMechanism, StressConditions
+from repro.core.failure.base import FailureMechanism
 
 
 class StressMigration(FailureMechanism):
@@ -53,17 +51,7 @@ class StressMigration(FailureMechanism):
         self.ea_ev = activation_energy_ev
         self.t_metal_k = deposition_temperature_k
 
-    def relative_mttf(self, conditions: StressConditions) -> float:
-        """|T_metal - T|^(-m) · exp(Ea/kT); infinite at zero stress."""
-        stress = abs(self.t_metal_k - conditions.temperature_k)
-        if stress <= 0.0:
-            return math.inf
-        arrhenius = float(np.exp(
-            self.ea_ev / (BOLTZMANN_EV_PER_K * conditions.temperature_k)
-        ))
-        return stress ** (-self.m) * arrhenius
-
-    def relative_fit_batch(
+    def mttf_expression(
         self,
         temperature_k: np.ndarray,
         voltage_v: np.ndarray,
@@ -72,11 +60,8 @@ class StressMigration(FailureMechanism):
         v_nominal: float,
         f_nominal: float,
     ) -> np.ndarray:
-        """Array form of :meth:`relative_mttf` reciprocal (zero FIT at
-        zero stress, i.e. exactly at the deposition temperature)."""
+        """|T_metal - T|^(-m) · exp(Ea/kT); infinite at zero stress
+        (exactly at the deposition temperature)."""
         stress = np.abs(self.t_metal_k - temperature_k)
         arrhenius = np.exp(self.ea_ev / (BOLTZMANN_EV_PER_K * temperature_k))
-        with np.errstate(divide="ignore"):
-            mttf = stress ** (-self.m) * arrhenius
-            fit = np.where(stress > 0.0, 1.0 / mttf, 0.0)
-        return fit
+        return stress ** (-self.m) * arrhenius

@@ -61,26 +61,7 @@ class TimeDependentDielectricBreakdown(FailureMechanism):
         """The effective voltage power ``a - b*T`` at a temperature."""
         return self.a - self.b * temperature_k
 
-    def relative_mttf(self, conditions: StressConditions) -> float:
-        """(1/V)^(a-bT) · exp[(X + Y/T + Z·T)/(kT)]."""
-        t = conditions.temperature_k
-        v = conditions.voltage_v
-        exponent = self.voltage_exponent(t)
-        activation = (
-            self.x_ev + self.y_ev_k / t + self.z_ev_per_k * t
-        ) / (BOLTZMANN_EV_PER_K * t)
-        mttf = (1.0 / v) ** exponent * float(np.exp(activation))
-        if not math.isfinite(mttf) or mttf <= 0.0:
-            # The huge voltage exponent (~100) can overflow or underflow
-            # float range for extreme (but validated) operating points;
-            # surface that instead of propagating inf/0 into the FIT sum.
-            raise ReliabilityError(
-                f"TDDB relative MTTF degenerate ({mttf!r}) at "
-                f"T={t!r} K, V={v!r} V"
-            )
-        return mttf
-
-    def relative_fit_batch(
+    def mttf_expression(
         self,
         temperature_k: np.ndarray,
         voltage_v: np.ndarray,
@@ -89,19 +70,28 @@ class TimeDependentDielectricBreakdown(FailureMechanism):
         v_nominal: float,
         f_nominal: float,
     ) -> np.ndarray:
-        """Array form of :meth:`relative_mttf` reciprocal.
-
-        The huge voltage exponent can underflow MTTF to zero at extreme
-        operating points; those elements map to an infinite FIT rather
-        than a divide-by-zero warning, and the caller's finite-check
-        rejects them the same way the scalar path's error does.
-        """
+        """(1/V)^(a-bT) · exp[(X + Y/T + Z·T)/(kT)]."""
         t = temperature_k
-        exponent = self.a - self.b * t
         activation = (
             self.x_ev + self.y_ev_k / t + self.z_ev_per_k * t
         ) / (BOLTZMANN_EV_PER_K * t)
-        with np.errstate(divide="ignore"):
-            mttf = (1.0 / voltage_v) ** exponent * np.exp(activation)
-            fit = np.where(mttf > 0.0, 1.0 / mttf, np.inf)
-        return np.broadcast_to(fit, np.broadcast(fit, activity).shape)
+        # repro: ignore[RPR303] over/underflow at extreme points is mapped
+        # by the callers: relative_mttf raises, relative_fit_batch gives
+        # an infinite or zero FIT that the finite-checks downstream reject.
+        return (1.0 / voltage_v) ** self.voltage_exponent(t) * np.exp(activation)
+
+    def relative_mttf(self, conditions: StressConditions) -> float:
+        """The base-class batch of one, rejecting a degenerate result.
+
+        The huge voltage exponent (~100) can overflow or underflow float
+        range for extreme (but validated) operating points; surface that
+        instead of propagating inf/0 into the FIT sum.  (The array path
+        maps the same cells to an infinite or zero FIT.)
+        """
+        mttf = super().relative_mttf(conditions)
+        if not math.isfinite(mttf) or mttf <= 0.0:
+            raise ReliabilityError(
+                f"TDDB relative MTTF degenerate ({mttf!r}) at "
+                f"T={conditions.temperature_k!r} K, V={conditions.voltage_v!r} V"
+            )
+        return mttf

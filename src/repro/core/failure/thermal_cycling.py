@@ -19,12 +19,10 @@ q = 2.35, the Coffin-Manson exponent for the package.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.constants import CYCLE_COLD_TEMPERATURE_K, TC_COFFIN_MANSON_EXPONENT
-from repro.core.failure.base import FailureMechanism, StressConditions
+from repro.core.failure.base import FailureMechanism
 
 
 class ThermalCycling(FailureMechanism):
@@ -52,14 +50,7 @@ class ThermalCycling(FailureMechanism):
         self.q = coffin_manson_exponent
         self.ambient_k = ambient_k
 
-    def relative_mttf(self, conditions: StressConditions) -> float:
-        """(1/(T_avg - T_ambient))^q; infinite when never above ambient."""
-        delta = conditions.temperature_k - self.ambient_k
-        if delta <= 0.0:
-            return math.inf
-        return (1.0 / delta) ** self.q
-
-    def relative_fit_batch(
+    def mttf_expression(
         self,
         temperature_k: np.ndarray,
         voltage_v: np.ndarray,
@@ -68,14 +59,9 @@ class ThermalCycling(FailureMechanism):
         v_nominal: float,
         f_nominal: float,
     ) -> np.ndarray:
-        """Array form of :meth:`relative_mttf` reciprocal.
+        """(1/(T_avg - T_ambient))^q; infinite when never above ambient.
 
-        ``temperature_k`` must carry *run-average* temperatures, exactly
-        as the scalar contract requires.  Zero FIT wherever the average
-        never rises above the cycle's cold end.
+        ``temperature_k`` must carry *run-average* temperatures.
         """
         delta = temperature_k - self.ambient_k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mttf = (1.0 / delta) ** self.q
-            fit = np.where(delta > 0.0, 1.0 / mttf, 0.0)
-        return fit
+        return np.where(delta > 0.0, (1.0 / delta) ** self.q, np.inf)

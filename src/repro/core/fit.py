@@ -68,33 +68,12 @@ class FitAccount:
         """Processor MTTF in years."""
         return fit_to_mttf_years(self.total)
 
-    @staticmethod
-    def weighted_average(accounts: list[tuple["FitAccount", float]]) -> "FitAccount":
-        """Time-weighted average of FIT accounts (Section 3.6).
-
-        Raises:
-            ReliabilityError: if empty, weights are non-positive, or the
-                accounts do not share the same key set.
-        """
-        if not accounts:
-            raise ReliabilityError("nothing to average")
-        total_w = sum(w for _, w in accounts)
-        if total_w <= 0.0:
-            raise ReliabilityError("weights must sum to a positive value")
-        keys = set(accounts[0][0].entries)
-        merged = {k: 0.0 for k in keys}
-        for account, weight in accounts:
-            if set(account.entries) != keys:
-                raise ReliabilityError("FIT accounts have mismatched keys")
-            for k, fit in account.entries.items():
-                merged[k] += fit * (weight / total_w)
-        return FitAccount(merged)
-
 
 def time_averaged_fit(
     fit_cps: np.ndarray, weights_cp: np.ndarray
 ) -> np.ndarray:
-    """Tensor form of :meth:`FitAccount.weighted_average` for one mechanism.
+    """Time-weighted average of one mechanism's instantaneous FIT
+    (Section 3.6).
 
     Args:
         fit_cps: instantaneous FIT, ``(candidates, phases, structures)``.

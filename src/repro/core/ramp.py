@@ -19,15 +19,15 @@ voltage.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.config.microarch import MicroarchConfig
 from repro.config.technology import STRUCTURE_NAMES
-from repro.constants import FIT_DEVICE_HOURS
-from repro.core.failure import ALL_MECHANISMS, FailureMechanism, StressConditions
+from repro.constants import FIT_DEVICE_HOURS, fit_to_mttf_years
+from repro.core.failure import ALL_MECHANISMS, FailureMechanism
 from repro.core.fit import FitAccount, time_averaged_fit
 from repro.core.qualification import QualifiedReliabilityModel
 from repro.errors import ReliabilityError
@@ -42,16 +42,20 @@ class AppReliability:
     """The reliability outcome of one application run.
 
     Attributes:
-        account: per-(mechanism, structure) time-averaged FIT.
+        account: per-(mechanism, structure) time-averaged FIT, in
+            mechanism order then canonical structure order.
         fit_target: the qualification target it is judged against.
+        total_fit: the SOFR total, summed exactly as
+            :meth:`RampModel.application_fit_batch` sums a candidate (per
+            mechanism, then across mechanisms), so it equals the batch
+            FIT of the same candidate bit for bit; ``account.total`` is
+            the same sum in another order and may differ in the last
+            bits.
     """
 
     account: FitAccount
     fit_target: float
-
-    @property
-    def total_fit(self) -> float:
-        return self.account.total
+    total_fit: float
 
     @property
     def meets_target(self) -> bool:
@@ -60,7 +64,7 @@ class AppReliability:
 
     @property
     def mttf_years(self) -> float:
-        return self.account.mttf_years()
+        return fit_to_mttf_years(self.total_fit)
 
     @property
     def margin(self) -> float:
@@ -98,26 +102,91 @@ class RampModel:
             )
         self.qualified = qualified
         self.mechanisms = mechanisms
-        self._cycling = [m for m in mechanisms if m.name == "TC"]
-        self._instantaneous = [m for m in mechanisms if m.name != "TC"]
 
     # ------------------------------------------------------------------
 
-    def _structure_fit(
+    def _constants_array(self, mech: FailureMechanism) -> np.ndarray:
+        """Calibrated proportionality constants in canonical structure
+        order (``inf`` entries make the corresponding FIT vanish)."""
+        return np.array(
+            [self.qualified.constant(mech.name, n) for n in STRUCTURE_NAMES]
+        )
+
+    def _fields(
         self,
-        mech: FailureMechanism,
-        structure: str,
-        conditions: StressConditions,
-        powered_fraction: float,
-    ) -> float:
-        constant = self.qualified.constant(mech.name, structure)
-        if math.isinf(constant):
-            return 0.0
-        rel_fit = mech.relative_fit(conditions)
-        fit = FIT_DEVICE_HOURS * rel_fit / constant
-        if mech.scales_with_powered_area:
-            fit *= powered_fraction
-        return fit
+        temperatures_k: np.ndarray,
+        activity: np.ndarray,
+        voltage_v: np.ndarray,
+        frequency_hz: np.ndarray,
+        weights: np.ndarray,
+        config: MicroarchConfig,
+    ) -> np.ndarray:
+        """Per-(candidate, mechanism, structure) time-averaged FIT.
+
+        ``temperatures_k``/``activity`` are ``(C, P, S)``;
+        ``voltage_v``/``frequency_hz``/``weights`` are ``(C, P)``.
+        """
+        tech = self.qualified.technology
+        v_nom = tech.vdd_nominal_v
+        f_nom = tech.frequency_nominal_hz
+        pf = np.array([config.powered_fraction(n) for n in STRUCTURE_NAMES])
+        avg_t = (temperatures_k * weights[:, :, None]).sum(axis=1)
+        fields = np.zeros(
+            (temperatures_k.shape[0], len(self.mechanisms), len(STRUCTURE_NAMES))
+        )
+        for m_index, mech in enumerate(self.mechanisms):
+            cycling = mech.name == "TC"
+            if cycling:
+                # Cycle depth is a whole-run property: run-average
+                # temperatures, with the first interval's operating
+                # conditions.
+                rel = mech.relative_fit_batch(
+                    avg_t,
+                    voltage_v[:, :1],
+                    frequency_hz[:, :1],
+                    activity[:, 0, :],
+                    v_nom,
+                    f_nom,
+                )
+            else:
+                rel = mech.relative_fit_batch(
+                    temperatures_k,
+                    voltage_v[:, :, None],
+                    frequency_hz[:, :, None],
+                    activity,
+                    v_nom,
+                    f_nom,
+                )
+            fit = FIT_DEVICE_HOURS * rel / self._constants_array(mech)
+            if mech.scales_with_powered_area:
+                fit = fit * pf
+            fields[:, m_index, :] = fit if cycling else time_averaged_fit(fit, weights)
+        return fields
+
+    def _interval_fields(self, intervals: Sequence[Interval]) -> np.ndarray:
+        """:meth:`_fields` of one run's intervals, as a batch of one."""
+        if not intervals:
+            raise ReliabilityError("evaluation has no intervals")
+        return self._fields(
+            np.array([[[iv.temperatures[n] for n in STRUCTURE_NAMES] for iv in intervals]]),
+            np.array([[[iv.activity[n] for n in STRUCTURE_NAMES] for iv in intervals]]),
+            np.array([[iv.op.voltage_v for iv in intervals]]),
+            np.array([[iv.op.frequency_hz for iv in intervals]]),
+            np.array([[iv.weight for iv in intervals]]),
+            intervals[0].config,
+        )
+
+    def _account(self, fields_ms: np.ndarray, *, cycling: bool = True) -> FitAccount:
+        """One candidate's ``(M, S)`` fields as a ledger, in mechanism
+        then canonical structure order."""
+        return FitAccount(
+            {
+                (mech.name, structure): float(fields_ms[m_index, s_index])
+                for m_index, mech in enumerate(self.mechanisms)
+                if cycling or mech.name != "TC"
+                for s_index, structure in enumerate(STRUCTURE_NAMES)
+            }
+        )
 
     def interval_fit(self, interval: Interval) -> FitAccount:
         """Instantaneous FIT for one interval (EM, SM, TDDB only).
@@ -125,138 +194,49 @@ class RampModel:
         Thermal cycling is deliberately absent: its stress (cycle depth)
         is a property of the whole run, not of an instant.
         """
-        tech = self.qualified.technology
-        entries: dict[tuple[str, str], float] = {}
-        for mech in self._instantaneous:
-            for structure, temp in interval.temperatures.items():
-                conditions = StressConditions(
-                    temperature_k=temp,
-                    voltage_v=interval.op.voltage_v,
-                    frequency_hz=interval.op.frequency_hz,
-                    activity=interval.activity[structure],
-                    v_nominal=tech.vdd_nominal_v,
-                    f_nominal=tech.frequency_nominal_hz,
-                )
-                entries[(mech.name, structure)] = self._structure_fit(
-                    mech,
-                    structure,
-                    conditions,
-                    interval.config.powered_fraction(structure),
-                )
-        return FitAccount(entries)
+        return self._account(self._interval_fields((interval,))[0], cycling=False)
 
     def application_reliability(self, evaluation: PlatformEvaluation) -> AppReliability:
-        """Time-averaged FIT for an application run (Section 3.6)."""
-        if not evaluation.intervals:
-            raise ReliabilityError("evaluation has no intervals")
-        instantaneous = FitAccount.weighted_average(
-            [(self.interval_fit(iv), iv.weight) for iv in evaluation.intervals]
-        )
-        entries = dict(instantaneous.entries)
-        # Thermal cycling from run-average temperatures.
-        tech = self.qualified.technology
-        avg_temps = evaluation.avg_temperature_by_structure
-        some_interval = evaluation.intervals[0]
-        for mech in self._cycling:
-            for structure, avg_t in avg_temps.items():
-                conditions = StressConditions(
-                    temperature_k=avg_t,
-                    voltage_v=some_interval.op.voltage_v,
-                    frequency_hz=some_interval.op.frequency_hz,
-                    activity=some_interval.activity[structure],
-                    v_nominal=tech.vdd_nominal_v,
-                    f_nominal=tech.frequency_nominal_hz,
-                )
-                entries[(mech.name, structure)] = self._structure_fit(
-                    mech,
-                    structure,
-                    conditions,
-                    some_interval.config.powered_fraction(structure),
-                )
+        """Time-averaged FIT for an application run (Section 3.6).
+
+        A batch of one: the same fields and the same total as
+        :meth:`application_fit_batch` gives the candidate.
+        """
+        fields = self._interval_fields(evaluation.intervals)
         return AppReliability(
-            account=FitAccount(entries), fit_target=self.qualified.fit_target
-        )
-
-    # ------------------------------------------------------------------
-
-    def _constants_array(self, mech: FailureMechanism) -> np.ndarray:
-        """Calibrated proportionality constants in canonical structure
-        order (``inf`` entries make the corresponding FIT vanish, exactly
-        as the scalar path's early return does)."""
-        return np.array(
-            [self.qualified.constant(mech.name, n) for n in STRUCTURE_NAMES]
+            account=self._account(fields[0]),
+            fit_target=self.qualified.fit_target,
+            total_fit=float(_sofr_totals(fields)[0]),
         )
 
     def application_fit_fields_batch(self, batch: "BatchEvaluation") -> np.ndarray:
         """Per-(mechanism, structure) time-averaged FIT for a whole batch.
 
-        The tensor analogue of :meth:`application_reliability`, kept at
-        full resolution: EM, SM and TDDB are evaluated per ``(candidate,
-        interval, structure)`` cell and time-averaged per candidate;
-        thermal cycling is evaluated from each candidate's run-average
-        structure temperatures.  Returns shape ``(n_candidates,
-        n_mechanisms, n_structures)`` with mechanisms in
-        :attr:`mechanisms` order and structures in canonical
-        ``STRUCTURE_NAMES`` order — the fields the cumulative-damage
-        simulator (:mod:`repro.lifetime`) integrates per epoch.
+        EM, SM and TDDB are evaluated per ``(candidate, interval,
+        structure)`` cell and time-averaged per candidate; thermal
+        cycling is evaluated from each candidate's run-average structure
+        temperatures.  Returns shape ``(n_candidates, n_mechanisms,
+        n_structures)`` with mechanisms in :attr:`mechanisms` order and
+        structures in canonical ``STRUCTURE_NAMES`` order — the fields
+        the cumulative-damage simulator (:mod:`repro.lifetime`)
+        integrates per epoch.
         """
-        tech = self.qualified.technology
-        v_nom = tech.vdd_nominal_v
-        f_nom = tech.frequency_nominal_hz
-        pf = np.array(
-            [batch.run.config.powered_fraction(n) for n in STRUCTURE_NAMES]
+        return self._fields(
+            batch.temperatures_k,
+            batch.activity,
+            batch.voltage_v,
+            batch.frequency_hz,
+            batch.weights,
+            batch.run.config,
         )
-        volt = batch.voltage_v[:, :, None]
-        freq = batch.frequency_hz[:, :, None]
-        avg_t = batch.avg_temperature_by_structure_k
-
-        fields = np.zeros(
-            (batch.n_candidates, len(self.mechanisms), len(STRUCTURE_NAMES))
-        )
-        for m_index, mech in enumerate(self.mechanisms):
-            if mech.name == "TC":
-                # Thermal cycling from run-average temperatures, with the
-                # first interval's operating conditions (mirroring the
-                # scalar path).
-                rel = mech.relative_fit_batch(
-                    temperature_k=avg_t,
-                    voltage_v=batch.voltage_v[:, :1],
-                    frequency_hz=batch.frequency_hz[:, :1],
-                    activity=batch.activity[:, 0, :],
-                    v_nominal=v_nom,
-                    f_nominal=f_nom,
-                )
-                fit = FIT_DEVICE_HOURS * rel / self._constants_array(mech)
-                if mech.scales_with_powered_area:
-                    fit = fit * pf
-                fields[:, m_index, :] = fit
-                continue
-            rel = mech.relative_fit_batch(
-                temperature_k=batch.temperatures_k,
-                voltage_v=volt,
-                frequency_hz=freq,
-                activity=batch.activity,
-                v_nominal=v_nom,
-                f_nominal=f_nom,
-            )
-            fit = FIT_DEVICE_HOURS * rel / self._constants_array(mech)
-            if mech.scales_with_powered_area:
-                fit = fit * pf
-            fields[:, m_index, :] = time_averaged_fit(fit, batch.weights)
-        return fields
 
     def application_fit_batch(self, batch: "BatchEvaluation") -> np.ndarray:
         """Time-averaged SOFR FIT for every candidate of a batch at once.
 
-        The per-candidate total of :meth:`application_fit_fields_batch`,
-        summed in mechanism order so the result stays bit-identical to
-        the pre-refactor accumulation.  Shape ``(n_candidates,)``.
+        The per-candidate total of :meth:`application_fit_fields_batch`.
+        Shape ``(n_candidates,)``.
         """
-        fields = self.application_fit_fields_batch(batch)
-        total = np.zeros(batch.n_candidates)
-        for m_index in range(fields.shape[1]):
-            total += fields[:, m_index, :].sum(axis=1)
-        return total
+        return _sofr_totals(self.application_fit_fields_batch(batch))
 
     def worst_instant_fit(self, evaluation: PlatformEvaluation) -> float:
         """The highest instantaneous (EM+SM+TDDB) FIT in any interval.
@@ -266,3 +246,12 @@ class RampModel:
         that the *average* is what determines lifetime consumption.
         """
         return max(self.interval_fit(iv).total for iv in evaluation.intervals)
+
+
+def _sofr_totals(fields: np.ndarray) -> np.ndarray:
+    """SOFR total per candidate of ``(C, M, S)`` fields: each
+    mechanism's structures summed, then the mechanisms in order."""
+    total = np.zeros(fields.shape[0])
+    for m_index in range(fields.shape[1]):
+        total += fields[:, m_index, :].sum(axis=1)
+    return total

@@ -14,6 +14,10 @@ workload executes at an arbitrary DVS operating point:
    by the paper's two-pass methodology;
 4. the result is a list of :class:`Interval` records — exactly the
    (T, V, f, p) samples RAMP's time-averaged FIT accounting consumes.
+
+Steps 1-3 run only in the batch kernel (:mod:`repro.kernels.batch`), over
+a whole candidate grid at once; :meth:`Platform.evaluate` and
+:meth:`Platform.evaluate_mixed` are grids of one.
 """
 
 from __future__ import annotations
@@ -30,29 +34,21 @@ from repro.config.technology import (
     TechnologyParameters,
     DEFAULT_TECHNOLOGY,
 )
-from repro.cpu.analytical import FrequencyScalingModel
 from repro.cpu.simulator import WorkloadRun
-from repro.errors import ThermalError
 from repro.kernels.batch import (
     BatchEvaluation,
     BatchKernel,
     Candidate,
     MAX_FIXED_POINT_ITERS,
-    TEMP_TOLERANCE_K,
 )
 from repro.power.model import PowerBreakdown, PowerModel
 from repro.thermal.floorplan import build_default_floorplan
-from repro.thermal.heatsink import TwoPassThermalModel
 from repro.thermal.rc_network import (
     DEFAULT_THERMAL_PARAMETERS,
     ThermalParameters,
     ThermalRCNetwork,
 )
-
-#: Convergence tolerance and iteration budget for the scalar reference
-#: path — shared with the batched kernel so the two never drift.
-_TEMP_TOLERANCE_K = TEMP_TOLERANCE_K
-_MAX_FIXED_POINT_ITERS = MAX_FIXED_POINT_ITERS
+from repro.thermal.solver import SteadyStateSolver
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,7 @@ class Platform:
         self.power_model = PowerModel(technology, dynamic_scale=power_scale)
         self.floorplan = build_default_floorplan(technology)
         self.network = ThermalRCNetwork(self.floorplan, thermal_params)
-        self.thermal = TwoPassThermalModel(self.network)
+        self.solver = SteadyStateSolver(self.network)
         self._kernel: BatchKernel | None = None
         self._kernel_lock = threading.Lock()
         self._eval_memo: OrderedDict | None = None
@@ -176,7 +172,7 @@ class Platform:
             with self._kernel_lock:
                 if self._kernel is None:
                     self._kernel = BatchKernel(
-                        self.power_model, self.network, self.thermal.solver
+                        self.power_model, self.network, self.solver
                     )
         return self._kernel
 
@@ -308,122 +304,8 @@ class Platform:
         """
         return self.evaluate_batch(run, [tuple(ops)]).evaluation(0)
 
-    def _evaluate_mixed_reference(
-        self, run: WorkloadRun, ops: Sequence[OperatingPoint]
-    ) -> PlatformEvaluation:
-        """The original scalar (dict-walking) evaluation path.
-
-        Kept as the ground truth the batched kernel is verified against
-        (equivalence tests) and as the baseline the kernel benchmark
-        times; production code routes through :meth:`evaluate_batch`.
-
-        Raises:
-            ThermalError: if the fixed point fails to converge.
-            ValueError: if ``ops`` does not match the phase count, the
-                run has no phases, or any phase duration is non-positive.
-        """
-        if not run.phases:
-            raise ValueError(
-                f"run of {run.profile.name!r} has no phases to evaluate"
-            )
-        if len(ops) != len(run.phases):
-            raise ValueError(
-                f"need one operating point per phase "
-                f"({len(run.phases)}), got {len(ops)}"
-            )
-        f_base = self.technology.frequency_nominal_hz
-        phases = []
-        total_time = 0.0
-        total_instr = 0
-        for pr, op in zip(run.phases, ops):
-            fsm = FrequencyScalingModel.from_stats(pr.stats, f_base)
-            ipc_scale = fsm.ipc_at(op.frequency_hz) / fsm.ipc_at(f_base)
-            activity = {
-                name: min(1.0, a * ipc_scale)
-                for name, a in pr.stats.activity.items()
-            }
-            time_s = pr.stats.instructions / fsm.ips_at(op.frequency_hz)
-            phases.append((activity, time_s))
-            total_time += time_s
-            total_instr += pr.stats.instructions
-        if any(t <= 0.0 for _, t in phases):
-            raise ValueError("every phase must have a positive duration")
-        if total_time <= 0.0:
-            raise ValueError("total run time must be positive")
-        weights = [t / total_time for _, t in phases]
-
-        temps, sink, powers = self._solve_thermal_fixed_point(
-            [a for a, _ in phases], weights, run.config, ops
-        )
-        intervals = tuple(
-            Interval(
-                weight=w,
-                temperatures=t,
-                activity=a,
-                power=p,
-                op=op,
-                config=run.config,
-            )
-            for (a, _), w, t, p, op in zip(phases, weights, temps, powers, ops)
-        )
-        avg_power = sum(p.total_w * w for p, w in zip(powers, weights))
-        return PlatformEvaluation(
-            intervals=intervals,
-            sink_temperature_k=sink,
-            ips=total_instr / total_time,
-            avg_power_w=avg_power,
-        )
-
     def performance_relative_to_base(
         self, evaluation: PlatformEvaluation, base_evaluation: PlatformEvaluation
     ) -> float:
         """Speedup (or slowdown) vs the base non-adaptive processor."""
         return evaluation.ips / base_evaluation.ips
-
-    # ------------------------------------------------------------------
-
-    def _solve_thermal_fixed_point(
-        self,
-        activities: list[dict[str, float]],
-        weights: list[float],
-        config: MicroarchConfig,
-        ops: list[OperatingPoint],
-    ) -> tuple[list[dict[str, float]], float, list[PowerBreakdown]]:
-        """Iterate leakage(T) <-> T(power) to convergence.
-
-        Returns (per-phase temperatures, sink temperature, per-phase
-        power breakdowns).
-
-        Raises:
-            ThermalError: if the fixed point fails to converge.
-        """
-        guess = self.network.params.ambient_k + 40.0
-        temps = [
-            {name: guess for name in STRUCTURE_NAMES} for _ in activities
-        ]
-        sink = self.network.params.ambient_k
-        for _ in range(_MAX_FIXED_POINT_ITERS):
-            powers = [
-                self.power_model.evaluate(a, config, op, t)
-                for a, t, op in zip(activities, temps, ops)
-            ]
-            phase_powers = [
-                (p.totals(), w) for p, w in zip(powers, weights)
-            ]
-            sink = self.thermal.sink_temperature(phase_powers)
-            new_temps = [
-                self.thermal.solver.solve_with_fixed_sink(p, sink)
-                for p, _ in phase_powers
-            ]
-            delta = max(
-                abs(new_temps[i][name] - temps[i][name])
-                for i in range(len(temps))
-                for name in STRUCTURE_NAMES
-            )
-            temps = new_temps
-            if delta < _TEMP_TOLERANCE_K:
-                return temps, sink, powers
-        raise ThermalError(
-            "leakage/temperature fixed point did not converge "
-            f"(last delta {delta:.3f} K)"
-        )

@@ -1,8 +1,7 @@
 """Vectorized candidate-grid evaluation kernels.
 
-The scalar evaluation path (:meth:`repro.harness.platform.Platform.evaluate`)
-walks per-structure Python dicts once per candidate; the oracles evaluate
-hundreds of candidates per decision.  This package batches the whole grid:
+The oracles evaluate hundreds of candidates per decision, so every
+evaluation is a grid (a single operating point is a grid of one):
 per-structure quantities become ``(n_candidates, n_phases, n_structures)``
 numpy tensors indexed by the canonical structure order of
 ``repro.config.technology.STRUCTURE_NAMES``, and the leakage/temperature

@@ -1,28 +1,35 @@
-"""The batched power/thermal evaluation kernel.
+"""The batched power/thermal evaluation kernel — the only one.
 
-One :class:`BatchKernel` call replaces a loop of scalar
-``Platform.evaluate`` calls: every per-structure quantity is laid out as a
+Every power/thermal evaluation in the package runs here: a
+:class:`BatchKernel` call lays every per-structure quantity out as a
 ``(n_candidates, n_phases, n_structures)`` tensor whose last axis follows
 the **canonical structure index** — position ``i`` is
-``STRUCTURE_NAMES[i]`` (see :data:`STRUCTURE_INDEX`).  Dynamic power,
-leakage(T), the two-pass heat-sink solve, and the fixed-sink RC solve are
-all expressed as array operations, so the leakage/temperature fixed point
-iterates over the whole candidate grid simultaneously.
+``STRUCTURE_NAMES[i]`` (see :data:`STRUCTURE_INDEX`).  Dynamic power and
+leakage(T) come from the power models' array forms
+(:meth:`~repro.power.dynamic.DynamicPowerModel.power_w`,
+:meth:`~repro.power.leakage.LeakagePowerModel.power_w`); the paper's
+two-pass thermal solve (pass one: the heat sink's long-run temperature
+from the time-weighted average power; pass two: each interval's die
+temperatures with the sink pinned there) is a pair of array solves, so
+the leakage/temperature fixed point iterates over the whole candidate
+grid simultaneously.  A single operating point or schedule is a grid of
+one (:meth:`~repro.harness.platform.Platform.evaluate`).
 
 Convergence is tracked **per row** (per candidate): a candidate whose
-largest temperature update falls below the scalar path's 0.01 K tolerance
-is frozen — its temperatures, powers, and sink value stop changing — while
-the remaining rows keep iterating.
+largest temperature update falls below the 0.01 K tolerance is frozen —
+its temperatures, powers, and sink value stop changing — while the
+remaining rows keep iterating.  Rows are therefore independent of their
+neighbours: a candidate's outputs do not depend on which grid it was
+evaluated in.
 
 **Graceful degradation** (``salvage=True``, the default): rows that fail
 to converge, or whose tensors turn non-finite (e.g. an injected NaN
 poison), are *salvaged* instead of failing the whole batch.  The ladder:
 
-1. re-run the row alone, clean — per-row convergence masking makes every
-   row's arithmetic independent of its neighbours, so a clean single-row
-   re-run reproduces exactly what the batch would have computed;
-2. re-run with an extended iteration budget (the scalar fixed point
-   given more rope);
+1. re-run the row alone, clean — rows are independent, so a clean
+   single-row re-run reproduces exactly what the batch would have
+   computed;
+2. re-run the row alone with an extended iteration budget;
 3. mask the row out — its outputs become NaN, a structured
    :class:`~repro.errors.DegradedResultWarning` names the candidates,
    and the :class:`SalvageReport` on the returned evaluation records
@@ -30,12 +37,20 @@ poison), are *salvaged* instead of failing the whole batch.  The ladder:
 
 With ``salvage=False`` unconverged rows raise
 :class:`~repro.errors.ThermalError` naming the offending candidate
-indices (the historical behaviour; equivalence tests rely on it).
+indices.
 
-The arithmetic mirrors the scalar path operation for operation (both
-paths use ``np.exp``), so results are bit-identical up to summation
-order — a few ULPs, verified by the equivalence tests at 1e-12
-relative tolerance.
+**Bit rule.**  There is no second implementation to compare against;
+``tests/golden/physics.json`` pins the kernel's outputs bit for bit and
+keeps the retired dict-walking evaluation's values as a frozen 1e-12
+reference.  numpy evaluates ``pow`` on arrays (of any length, one
+included) with SIMD routines whose last bit can differ from the libm
+``pow`` it uses for 0-d ``np.float64`` scalars.  So an expression gives
+the same bits for a candidate whether its array holds one row or a
+thousand, but not necessarily the same bits as on 0-d inputs.  Callers
+that must match plain-float arithmetic (qualification constants, the
+validation audit) evaluate the shared expressions on 0-d inputs; RAMP's
+scalar entry points stack their inputs into ``(1, P, S)`` arrays so a
+scalar FIT equals the batch FIT of the same candidate.
 """
 
 from __future__ import annotations
@@ -47,8 +62,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.config.dvs import OperatingPoint
-from repro.config.technology import STRUCTURE_NAMES, STRUCTURES
-from repro.constants import MAX_TEMPERATURE_K, MIN_TEMPERATURE_K
+from repro.config.technology import STRUCTURE_NAMES
 from repro.errors import DegradedResultWarning, InputValidationError, ThermalError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness imports us)
@@ -64,14 +78,8 @@ STRUCTURE_INDEX: dict[str, int] = {
     name: i for i, name in enumerate(STRUCTURE_NAMES)
 }
 
-#: Structure areas (mm^2) in canonical order.
-STRUCTURE_AREAS_MM2 = np.array([s.area_mm2 for s in STRUCTURES])
-
-#: Calibrated peak dynamic powers (W) in canonical order.
-STRUCTURE_PEAK_DYNAMIC_W = np.array([s.peak_dynamic_w for s in STRUCTURES])
-
 #: Convergence tolerance (kelvin) for the leakage/temperature fixed
-#: point — identical to the scalar path's tolerance by construction.
+#: point.
 TEMP_TOLERANCE_K = 0.01
 
 #: Iteration budget for the fixed point.
@@ -115,7 +123,7 @@ class BatchEvaluation:
     """Everything :class:`BatchKernel` computed for one candidate grid.
 
     Array axes: ``C`` candidates, ``P`` phases, ``S`` structures (canonical
-    order).  Use :meth:`evaluation` to materialise one row as a scalar
+    order).  Use :meth:`evaluation` to materialise one row as a per-structure
     :class:`~repro.harness.platform.PlatformEvaluation`.
 
     Attributes:
@@ -169,7 +177,7 @@ class BatchEvaluation:
         return (self.temperatures_k * self.weights[:, :, None]).sum(axis=1)
 
     def evaluation(self, index: int) -> "PlatformEvaluation":
-        """Materialise candidate ``index`` as a scalar evaluation record."""
+        """Materialise candidate ``index`` as a per-structure evaluation record."""
         from repro.harness.platform import Interval, PlatformEvaluation
         from repro.power.model import PowerBreakdown
 
@@ -363,19 +371,15 @@ class BatchKernel:
         weights = times_s / total_time_s[:, None]
 
         # Dynamic power is temperature-independent: compute it once.
-        dyn = self.power_model.dynamic
         v_ratio = volt_v / tech.vdd_nominal_v
-        f_ratio = freq_hz / f_base_hz
-        vf_scale = v_ratio * v_ratio * f_ratio
-        gated = dyn.gate_floor + (1.0 - dyn.gate_floor) * activity
         powered_fraction = np.array(
             [run.config.powered_fraction(n) for n in STRUCTURE_NAMES]
         )
-        dynamic_w = (
-            (STRUCTURE_PEAK_DYNAMIC_W * dyn.scale)
-            * gated
-            * vf_scale[:, :, None]
-            * powered_fraction
+        dynamic_w = self.power_model.dynamic.power_w(
+            activity,
+            v_ratio[:, :, None],
+            (freq_hz / f_base_hz)[:, :, None],
+            powered_fraction,
         )
 
         if _inject:
@@ -538,33 +542,6 @@ class BatchKernel:
 
     # ------------------------------------------------------------------
 
-    def _leakage_w(
-        self,
-        temps_k: np.ndarray,
-        powered_fraction: np.ndarray,
-        v_ratio: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized leakage(T), mirroring the scalar model's ordering."""
-        tech = self.power_model.technology
-        t_min = float(temps_k.min())
-        t_max = float(temps_k.max())
-        if t_min < MIN_TEMPERATURE_K or t_max > MAX_TEMPERATURE_K:
-            worst = t_min if t_min < MIN_TEMPERATURE_K else t_max
-            raise ValueError(
-                f"leakage temperature {worst!r} K outside plausible range "
-                f"[{MIN_TEMPERATURE_K}, {MAX_TEMPERATURE_K}]"
-            )
-        density = tech.leakage_density_w_per_mm2 * np.exp(
-            tech.leakage_temp_coefficient_per_k
-            * (temps_k - tech.leakage_reference_temp_k)
-        )
-        return (
-            density
-            * STRUCTURE_AREAS_MM2
-            * powered_fraction
-            * v_ratio[:, :, None]
-        )
-
     def _fixed_point(
         self,
         dynamic_w: np.ndarray,
@@ -578,8 +555,7 @@ class BatchKernel:
 
         Per-row convergence masking: once a candidate's largest update is
         below :data:`TEMP_TOLERANCE_K` it is frozen with the powers that
-        produced its final temperatures (the same powers the scalar path
-        returns) while the other rows continue.
+        produced its final temperatures while the other rows continue.
 
         Returns ``(temperatures, sink, leakage, iterations, unconverged)``
         where ``unconverged`` holds the row indices that missed the
@@ -602,8 +578,8 @@ class BatchKernel:
         for _ in range(max_iters):
             if active.size == 0:
                 break
-            leak = self._leakage_w(
-                temps_k[active], powered_fraction, v_ratio[active]
+            leak = self.power_model.leakage.power_w(
+                temps_k[active], powered_fraction, v_ratio[active][:, :, None]
             )
             totals_w = dynamic_w[active] + leak
 
@@ -619,8 +595,8 @@ class BatchKernel:
             full = self.solver.solve_many(rhs_full)
             sink_new = full[self.sink_index]
 
-            # Pass two: per-phase solve with the sink node pinned
-            # (batched solve_with_fixed_sink).
+            # Pass two: per-phase solve with the sink node pinned (its
+            # column of G moves to the right-hand side).
             p_keep = node_p[:, :, self.keep] + self.injection_keep
             rhs = p_keep - (
                 self.g_sink_coupling[None, None, :]

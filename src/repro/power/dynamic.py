@@ -18,13 +18,16 @@ at the nominal operating point; its actual dynamic power is
 
 from __future__ import annotations
 
-from repro.config.dvs import OperatingPoint
-from repro.config.microarch import MicroarchConfig
+import numpy as np
+
 from repro.config.technology import STRUCTURES, TechnologyParameters
 from repro.errors import ConfigurationError
 
 #: Fraction of maximum power charged to an idle (clock-gated) structure.
 CLOCK_GATE_FLOOR = 0.10
+
+#: Calibrated peak dynamic powers (W) in canonical structure order.
+PEAK_DYNAMIC_W = np.array([s.peak_dynamic_w for s in STRUCTURES])
 
 
 class DynamicPowerModel:
@@ -51,44 +54,34 @@ class DynamicPowerModel:
         self.gate_floor = gate_floor
         self.scale = scale
 
-    def structure_power(
+    def power_w(
         self,
-        activity: dict[str, float],
-        config: MicroarchConfig,
-        op: OperatingPoint,
-    ) -> dict[str, float]:
+        activity: np.ndarray,
+        v_ratio: np.ndarray,
+        f_ratio: np.ndarray,
+        powered_fraction: np.ndarray,
+    ) -> np.ndarray:
         """Dynamic power per structure in watts.
 
         Args:
-            activity: per-structure activity factors in [0, 1].
-            config: microarchitecture (for powered-down fractions).
-            op: the voltage/frequency operating point.
+            activity: activity factors in [0, 1], last axis in canonical
+                structure order (``STRUCTURE_NAMES``).
+            v_ratio / f_ratio: V/V_nom and f/f_nom, broadcastable
+                against ``activity``.
+            powered_fraction: per-structure powered fraction, ``(S,)``
+                (see :meth:`MicroarchConfig.powered_fraction`).
 
         Raises:
-            ConfigurationError: if an activity factor is missing or out of
-                range.
+            ConfigurationError: if the structure axis has the wrong
+                length or an activity factor is outside [0, 1].
         """
-        v_ratio = op.voltage_v / self.technology.vdd_nominal_v
-        f_ratio = op.frequency_hz / self.technology.frequency_nominal_hz
-        scale = v_ratio * v_ratio * f_ratio
-        powers = {}
-        for spec in STRUCTURES:
-            try:
-                a = activity[spec.name]
-            except KeyError:
-                raise ConfigurationError(
-                    f"activity missing structure {spec.name!r}"
-                ) from None
-            if not 0.0 <= a <= 1.0:
-                raise ConfigurationError(
-                    f"activity[{spec.name!r}] = {a} outside [0, 1]"
-                )
-            gated = self.gate_floor + (1.0 - self.gate_floor) * a
-            powers[spec.name] = (
-                spec.peak_dynamic_w
-                * self.scale
-                * gated
-                * scale
-                * config.powered_fraction(spec.name)
+        if activity.shape[-1:] != PEAK_DYNAMIC_W.shape:
+            raise ConfigurationError(
+                f"activity needs one factor per structure "
+                f"({PEAK_DYNAMIC_W.size}), got shape {activity.shape}"
             )
-        return powers
+        if not ((activity >= 0.0) & (activity <= 1.0)).all():
+            raise ConfigurationError("activity factors must lie in [0, 1]")
+        vf_scale = v_ratio * v_ratio * f_ratio
+        gated = self.gate_floor + (1.0 - self.gate_floor) * activity
+        return (PEAK_DYNAMIC_W * self.scale) * gated * vf_scale * powered_fraction

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config.dvs import OperatingPoint
-from repro.config.microarch import MicroarchConfig
 from repro.config.technology import STRUCTURES, TechnologyParameters
-from repro.constants import validate_temperature
+from repro.constants import MAX_TEMPERATURE_K, MIN_TEMPERATURE_K
+
+#: Structure areas (mm^2) in canonical structure order.
+AREAS_MM2 = np.array([s.area_mm2 for s in STRUCTURES])
 
 
 class LeakagePowerModel:
@@ -34,36 +35,37 @@ class LeakagePowerModel:
     def __init__(self, technology: TechnologyParameters) -> None:
         self.technology = technology
 
-    def density_at(self, temperature_k: float) -> float:
-        """Leakage power density (W/mm^2) at ``temperature_k``."""
-        validate_temperature(temperature_k, what="leakage temperature")
-        tech = self.technology
-        return tech.leakage_density_w_per_mm2 * float(np.exp(
-            tech.leakage_temp_coefficient_per_k
-            * (temperature_k - tech.leakage_reference_temp_k)
-        ))
-
-    def structure_power(
+    def power_w(
         self,
-        temperatures: dict[str, float],
-        config: MicroarchConfig,
-        op: OperatingPoint,
-    ) -> dict[str, float]:
+        temperatures_k: np.ndarray,
+        powered_fraction: np.ndarray,
+        v_ratio: np.ndarray,
+    ) -> np.ndarray:
         """Leakage power per structure in watts.
 
         Args:
-            temperatures: per-structure temperature in kelvin.
-            config: microarchitecture (powered-down slices do not leak).
-            op: operating point (leakage scales ~linearly with V).
+            temperatures_k: structure temperatures, last axis in
+                canonical structure order.
+            powered_fraction: per-structure powered fraction, ``(S,)``
+                (powered-down slices do not leak).
+            v_ratio: V/V_nom, broadcastable against ``temperatures_k``
+                (leakage scales ~linearly with V).
+
+        Raises:
+            ValueError: if any temperature is outside
+                [``MIN_TEMPERATURE_K``, ``MAX_TEMPERATURE_K``].
         """
-        v_ratio = op.voltage_v / self.technology.vdd_nominal_v
-        powers = {}
-        for spec in STRUCTURES:
-            t = temperatures[spec.name]
-            powers[spec.name] = (
-                self.density_at(t)
-                * spec.area_mm2
-                * config.powered_fraction(spec.name)
-                * v_ratio
+        t_min = float(temperatures_k.min())
+        t_max = float(temperatures_k.max())
+        if t_min < MIN_TEMPERATURE_K or t_max > MAX_TEMPERATURE_K:
+            worst = t_min if t_min < MIN_TEMPERATURE_K else t_max
+            raise ValueError(
+                f"leakage temperature {worst!r} K outside plausible range "
+                f"[{MIN_TEMPERATURE_K}, {MAX_TEMPERATURE_K}]"
             )
-        return powers
+        tech = self.technology
+        density = tech.leakage_density_w_per_mm2 * np.exp(
+            tech.leakage_temp_coefficient_per_k
+            * (temperatures_k - tech.leakage_reference_temp_k)
+        )
+        return density * AREAS_MM2 * powered_fraction * v_ratio

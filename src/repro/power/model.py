@@ -1,20 +1,18 @@
 """Combined power model: dynamic + leakage, with thermal feedback.
 
 Leakage depends on temperature while temperature depends on total power,
-so the two are solved as a fixed point: the
-:class:`~repro.harness.platform.Platform` iterates power -> temperature ->
-leakage until the total converges.  This module provides the per-iteration
-evaluation plus a standalone evaluation at uniform temperature for tests
-and quick estimates.
+so the two are solved as a fixed point: the batch kernel
+(:mod:`repro.kernels.batch`) iterates power -> temperature -> leakage over
+a whole candidate grid until the temperatures converge, calling each
+model's one array form.  This module holds the two models and the
+per-interval breakdown record that a materialised evaluation carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config.dvs import OperatingPoint
-from repro.config.microarch import MicroarchConfig
-from repro.config.technology import STRUCTURE_NAMES, TechnologyParameters, DEFAULT_TECHNOLOGY
+from repro.config.technology import TechnologyParameters, DEFAULT_TECHNOLOGY
 from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import LeakagePowerModel
 
@@ -54,7 +52,7 @@ class PowerBreakdown:
 
 
 class PowerModel:
-    """Evaluates total per-structure power for one accounting interval.
+    """The dynamic and leakage models of one calibrated technology.
 
     Args:
         technology: process parameters (defaults to the paper's 65 nm).
@@ -70,27 +68,3 @@ class PowerModel:
         self.technology = technology
         self.dynamic = DynamicPowerModel(technology, scale=dynamic_scale)
         self.leakage = LeakagePowerModel(technology)
-
-    def evaluate(
-        self,
-        activity: dict[str, float],
-        config: MicroarchConfig,
-        op: OperatingPoint,
-        temperatures: dict[str, float],
-    ) -> PowerBreakdown:
-        """Power breakdown given per-structure temperatures."""
-        return PowerBreakdown(
-            dynamic=self.dynamic.structure_power(activity, config, op),
-            leakage=self.leakage.structure_power(temperatures, config, op),
-        )
-
-    def evaluate_uniform(
-        self,
-        activity: dict[str, float],
-        config: MicroarchConfig,
-        op: OperatingPoint,
-        temperature_k: float,
-    ) -> PowerBreakdown:
-        """Power breakdown assuming one uniform die temperature."""
-        temps = {name: temperature_k for name in STRUCTURE_NAMES}
-        return self.evaluate(activity, config, op, temps)

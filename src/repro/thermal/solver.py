@@ -30,10 +30,10 @@ class SteadyStateSolver:
     def solve_many(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against a matrix right-hand side, one column per system.
 
-        Used by the batch kernel to run one grid-wide heat-sink solve
-        instead of a Python loop of vector solves.  Each column goes
-        through the same factorised substitutions as a single-vector
-        :meth:`solve_full`, so results match the scalar path exactly.
+        The batch kernel's first pass (the long-run heat-sink
+        temperature) solves every candidate's average power at once
+        this way.  Each column goes through the same factorised
+        substitutions as a single-vector :meth:`solve_full`.
         """
         return self._solve(rhs)
 
@@ -49,30 +49,6 @@ class SteadyStateSolver:
         """Equilibrium temperatures of every node (blocks, spreader, sink)."""
         p = self.network.power_vector(power_w_by_block)
         return self._solve(p + self.network.ambient_injection)
-
-    def solve_with_fixed_sink(
-        self, power_w_by_block: dict[str, float], sink_temp_k: float
-    ) -> dict[str, float]:
-        """Equilibrium with the heat-sink node pinned at ``sink_temp_k``.
-
-        This is the second pass of the paper's methodology: the sink's RC
-        time constant is far larger than any simulation, so the sink is
-        initialised to its long-run steady temperature and held there
-        while the (fast) die nodes equilibrate per interval.
-        """
-        net = self.network
-        k = net.sink_index
-        p = net.power_vector(power_w_by_block) + net.ambient_injection
-        g = net.conductance
-        # Eliminate the pinned node: move its column to the RHS.
-        keep = [i for i in range(g.shape[0]) if i != k]
-        g_red = g[np.ix_(keep, keep)]
-        rhs = p[keep] - g[keep, k] * sink_temp_k
-        temps_red = np.linalg.solve(g_red, rhs)
-        temps = np.empty(g.shape[0])
-        temps[keep] = temps_red
-        temps[k] = sink_temp_k
-        return net.temperatures_dict(temps)
 
 
 class TransientSolver:

@@ -8,6 +8,7 @@ that the whole suite stays fast.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config.dvs import DEFAULT_VF_CURVE
@@ -126,3 +127,24 @@ def uniform_activity(value: float = 0.5) -> dict[str, float]:
 def uniform_temps(value: float = 360.0) -> dict[str, float]:
     """Per-structure temperature dict with one value everywhere."""
     return {name: value for name in STRUCTURE_NAMES}
+
+
+def power_breakdown(power_model, activity, config, op, temperatures):
+    """A :class:`~repro.power.model.PowerBreakdown` from the models' array
+    forms, for per-structure ``activity`` and ``temperatures`` dicts."""
+    from repro.power.model import PowerBreakdown
+
+    tech = power_model.technology
+    v_ratio = op.voltage_v / tech.vdd_nominal_v
+    f_ratio = op.frequency_hz / tech.frequency_nominal_hz
+    pf = np.array([config.powered_fraction(n) for n in STRUCTURE_NAMES])
+    dynamic = power_model.dynamic.power_w(
+        np.array([activity[n] for n in STRUCTURE_NAMES]), v_ratio, f_ratio, pf
+    )
+    leakage = power_model.leakage.power_w(
+        np.array([temperatures[n] for n in STRUCTURE_NAMES]), pf, v_ratio
+    )
+    return PowerBreakdown(
+        dynamic=dict(zip(STRUCTURE_NAMES, dynamic.tolist())),
+        leakage=dict(zip(STRUCTURE_NAMES, leakage.tolist())),
+    )

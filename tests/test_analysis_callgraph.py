@@ -138,7 +138,9 @@ class TestEdgeKinds:
         assert ("pkg.alpha.entry.inner", "pkg.alpha.target", "call") in kinds
         assert ("pkg.alpha.entry", "pkg.alpha.target", "partial") in kinds
         assert ("pkg.alpha.entry", "pkg.alpha.target", "thread") in kinds
-        assert ("pkg.alpha.entry", "pkg.alpha.work", "task") in kinds
+        # create_task is no boundary: its coroutine call is a plain edge.
+        assert ("pkg.alpha.entry", "pkg.alpha.work", "call") in kinds
+        assert not any(kind == "task" for _, _, kind in kinds)
 
     def test_threadpool_submit_is_an_executor_boundary(self):
         graph = build({
@@ -202,13 +204,6 @@ class TestColoring:
                     sync_leaf()
             """,
         })
-
-    def test_async_functions_seed_the_loop_color(self):
-        graph = self.graph()
-        assert graph.async_functions() == {"pkg.alpha.loop_entry"}
-        model = ConcurrencyModel.build(graph)
-        assert "pkg.alpha.shared_leaf" in model.loop_colored
-        assert "pkg.alpha.sync_leaf" not in model.loop_colored
 
     def test_thread_color_closes_over_boundary_callees(self):
         model = ConcurrencyModel.build(self.graph())
@@ -277,4 +272,3 @@ class TestHarvestPayload:
         sites = model.writes[("pkg.box.Box", "items")]
         locked = [s for s in sites if s.op == "mutcall"]
         assert locked and locked[0].locks == ("self.lock",)
-        assert model.class_locks["pkg.box.Box"] == {"lock"}

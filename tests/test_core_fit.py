@@ -1,8 +1,9 @@
 """Tests for FIT accounting and the SOFR model."""
 
+import numpy as np
 import pytest
 
-from repro.core.fit import FitAccount, sofr_total_fit
+from repro.core.fit import FitAccount, sofr_total_fit, time_averaged_fit
 from repro.errors import ReliabilityError
 
 
@@ -53,41 +54,30 @@ class TestSofr:
             FitAccount({}).dominant_mechanism()
 
 
+def averaged(fits, weights):
+    """:func:`time_averaged_fit` of one candidate and one structure."""
+    fit_cps = np.array(fits, dtype=float).reshape(1, -1, 1)
+    return float(time_averaged_fit(fit_cps, np.array([weights], dtype=float))[0, 0])
+
+
 class TestTimeAveraging:
-    def test_weighted_average(self):
-        a = FitAccount({("EM", "fpu"): 100.0})
-        b = FitAccount({("EM", "fpu"): 300.0})
-        merged = FitAccount.weighted_average([(a, 0.75), (b, 0.25)])
-        assert merged.entries[("EM", "fpu")] == pytest.approx(150.0)
+    def test_time_weighted_mean(self):
+        assert averaged([100.0, 300.0], [0.75, 0.25]) == pytest.approx(150.0)
 
     def test_weights_normalised(self):
-        a = FitAccount({("EM", "fpu"): 100.0})
-        b = FitAccount({("EM", "fpu"): 200.0})
-        merged = FitAccount.weighted_average([(a, 2.0), (b, 2.0)])
-        assert merged.entries[("EM", "fpu")] == pytest.approx(150.0)
+        assert averaged([100.0, 200.0], [2.0, 2.0]) == pytest.approx(150.0)
 
     def test_single_account_identity(self):
-        a = account()
-        merged = FitAccount.weighted_average([(a, 1.0)])
-        assert merged.entries == pytest.approx(a.entries)
+        fit_cps = np.array([[[100.0, 50.0, 50.0, 25.0]]])
+        assert np.array_equal(time_averaged_fit(fit_cps, np.array([[1.0]])), fit_cps[:, 0])
 
     def test_average_between_extremes(self):
-        a = FitAccount({("EM", "fpu"): 10.0})
-        b = FitAccount({("EM", "fpu"): 90.0})
-        merged = FitAccount.weighted_average([(a, 0.5), (b, 0.5)])
-        assert 10.0 < merged.entries[("EM", "fpu")] < 90.0
-
-    def test_mismatched_keys_rejected(self):
-        a = FitAccount({("EM", "fpu"): 1.0})
-        b = FitAccount({("SM", "fpu"): 1.0})
-        with pytest.raises(ReliabilityError, match="mismatched"):
-            FitAccount.weighted_average([(a, 0.5), (b, 0.5)])
+        assert 10.0 < averaged([10.0, 90.0], [0.5, 0.5]) < 90.0
 
     def test_empty_list_rejected(self):
         with pytest.raises(ReliabilityError):
-            FitAccount.weighted_average([])
+            time_averaged_fit(np.zeros((1, 0, 1)), np.zeros((1, 0)))
 
     def test_zero_weights_rejected(self):
-        a = FitAccount({("EM", "fpu"): 1.0})
         with pytest.raises(ReliabilityError):
-            FitAccount.weighted_average([(a, 0.0)])
+            averaged([1.0], [0.0])

@@ -1,9 +1,13 @@
 """The batched evaluation kernel and the unified decision API.
 
 Covers:
-- batched-vs-scalar equivalence (temperatures, powers, weights, ips, FIT)
-  against the retained scalar reference path at 1e-12 relative tolerance;
-- hypothesis property test over randomized schedules;
+- the golden cases of ``tests/golden/physics.json`` (bitwise kernel
+  outputs, 1e-12 agreement with the frozen dict-walking reference) and
+  scalar RAMP equal to batch RAMP bit for bit;
+- residual properties of converged evaluations over Hypothesis-drawn
+  schedules: the sink solves the time-weighted average power, the
+  pinned-sink system balances, and leakage matches the returned
+  temperatures within the convergence bound;
 - per-row convergence masking and the ThermalError that names the
   diverging candidates;
 - the ``evaluate_mixed`` crash paths (zero-phase run, zero-duration
@@ -21,53 +25,69 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config.dvs import DEFAULT_VF_CURVE
-from repro.config.microarch import BASE_MICROARCH, arch_adaptation_space
+from repro.config.microarch import BASE_MICROARCH
+from repro.config.technology import STRUCTURE_NAMES
 from repro.core.decision import Decision
 from repro.core.drm import AdaptationMode, DRMDecision
 from repro.core.dtm import DTMDecision
 from repro.errors import ThermalError
 from repro.kernels.batch import STRUCTURE_INDEX, TEMP_TOLERANCE_K
 from repro.workloads.suite import workload_by_name
+from tests.test_physics_golden import (
+    CASES,
+    FIT_T_QUAL_K,
+    RTOL,
+    case_inputs,
+    check_case,
+    load_golden,
+)
 
-#: Equivalence tolerance between the batched kernel and the scalar
-#: reference: the arithmetic mirrors the scalar operation order, so the
-#: only drift is libm (np.exp vs math.exp) and summation order — ULPs.
-RTOL = 1e-12
 
+def assert_converged_residuals(platform, batch) -> None:
+    """Check a converged batch against the equations it solved.
 
-def _max_discrepancy(scalar, batched):
-    """Worst relative/absolute mismatch across every evaluation field."""
-    worst = 0.0
-    worst = max(
-        worst,
-        abs(scalar.sink_temperature_k - batched.sink_temperature_k)
-        / scalar.sink_temperature_k,
+    - pass one: the sink is the steady solve of the time-weighted
+      average node power;
+    - pass two: with the sink pinned, every block row of ``G·T = P +
+      injection`` balances to solver precision (the spreader, which the
+      batch does not return, is recovered from its own row);
+    - the stored leakage is leakage(T) at temperatures within the
+      0.01 K convergence bound of the returned ones.
+    """
+    network = platform.network
+    g = network.conductance
+    n_blocks, spreader, sink = network.n_blocks, network.spreader_index, network.sink_index
+    node_of = np.array([network.block_names.index(n) for n in STRUCTURE_NAMES])
+    n_cand, n_phases, _ = batch.temperatures_k.shape
+
+    node_p = np.zeros((n_cand, n_phases, g.shape[0]))
+    node_p[:, :, node_of] = batch.dynamic_w + batch.leakage_w
+    w = batch.weights / batch.weights.sum(axis=1, keepdims=True)
+    avg_p = (node_p * w[:, :, None]).sum(axis=1)
+    full = platform.solver.solve_many((avg_p + network.ambient_injection).T)
+    assert np.allclose(full[sink], batch.sink_temperature_k, rtol=1e-12, atol=0.0)
+
+    temps = np.zeros_like(node_p)
+    temps[:, :, node_of] = batch.temperatures_k
+    temps[:, :, sink] = batch.sink_temperature_k[:, None]
+    rhs = node_p + network.ambient_injection
+    others = np.arange(g.shape[0]) != spreader
+    temps[:, :, spreader] = (
+        rhs[:, :, spreader] - temps[:, :, others] @ g[spreader, others]
+    ) / g[spreader, spreader]
+    blocks = slice(0, n_blocks)
+    residual = temps @ g[blocks].T - rhs[:, :, blocks]
+    scale = np.abs(temps) @ np.abs(g[blocks]).T
+    assert np.all(np.abs(residual) <= 1e-12 * scale)
+
+    tech = platform.technology
+    leakage_now = platform.power_model.leakage.power_w(
+        batch.temperatures_k,
+        np.array([batch.run.config.powered_fraction(n) for n in STRUCTURE_NAMES]),
+        (batch.voltage_v / tech.vdd_nominal_v)[:, :, None],
     )
-    worst = max(worst, abs(scalar.ips - batched.ips) / scalar.ips)
-    worst = max(
-        worst,
-        abs(scalar.avg_power_w - batched.avg_power_w) / scalar.avg_power_w,
-    )
-    for iv_s, iv_b in zip(scalar.intervals, batched.intervals):
-        worst = max(worst, abs(iv_s.weight - iv_b.weight))
-        for name in iv_s.temperatures:
-            worst = max(
-                worst,
-                abs(iv_s.temperatures[name] - iv_b.temperatures[name])
-                / iv_s.temperatures[name],
-            )
-            worst = max(
-                worst, abs(iv_s.activity[name] - iv_b.activity[name])
-            )
-            worst = max(
-                worst,
-                abs(iv_s.power.dynamic[name] - iv_b.power.dynamic[name]),
-            )
-            worst = max(
-                worst,
-                abs(iv_s.power.leakage[name] - iv_b.power.leakage[name]),
-            )
-    return worst
+    bound = math.expm1(tech.leakage_temp_coefficient_per_k * TEMP_TOLERANCE_K)
+    assert np.all(np.abs(leakage_now - batch.leakage_w) <= bound * batch.leakage_w)
 
 
 class TestStructureIndex:
@@ -87,50 +107,41 @@ class TestStructureIndex:
 
 
 class TestBatchedScalarEquivalence:
-    def test_dvs_grid_matches_reference(self, platform, mpgdec_run):
-        grid = DEFAULT_VF_CURVE.grid(11)
-        batch = platform.evaluate_batch(mpgdec_run, grid)
-        for i, op in enumerate(grid):
-            scalar = platform._evaluate_mixed_reference(
-                mpgdec_run, [op] * len(mpgdec_run.phases)
-            )
-            assert _max_discrepancy(scalar, batch.evaluation(i)) < RTOL
+    """The golden cases: kernel outputs bit for bit, the frozen
+    dict-walking reference to 1e-12, scalar RAMP equal to batch RAMP."""
 
-    def test_throttled_config_matches_reference(self, platform, test_cache):
-        config = arch_adaptation_space()[-1]
-        run = test_cache.run(workload_by_name("twolf"), config)
-        grid = DEFAULT_VF_CURVE.grid(5)
-        batch = platform.evaluate_batch(run, grid)
-        for i, op in enumerate(grid):
-            scalar = platform._evaluate_mixed_reference(
-                run, [op] * len(run.phases)
-            )
-            assert _max_discrepancy(scalar, batch.evaluation(i)) < RTOL
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return load_golden()
 
-    def test_mixed_schedules_match_reference(self, platform, mpgdec_run):
-        grid = DEFAULT_VF_CURVE.grid(5)
-        n = len(mpgdec_run.phases)
-        schedules = [
-            tuple(grid[(i + p) % len(grid)] for p in range(n))
-            for i in range(len(grid))
-        ]
-        batch = platform.evaluate_batch(mpgdec_run, schedules)
-        for i, schedule in enumerate(schedules):
-            scalar = platform._evaluate_mixed_reference(
-                mpgdec_run, list(schedule)
-            )
-            assert _max_discrepancy(scalar, batch.evaluation(i)) < RTOL
+    def _check(self, name, golden, oracle, test_cache):
+        run, candidates = case_inputs(name, test_cache)
+        batch = oracle.platform.evaluate_batch(run, candidates)
+        check_case(name, golden, batch, oracle.ramp_for(FIT_T_QUAL_K))
+        assert_converged_residuals(oracle.platform, batch)
 
-    def test_batched_fit_matches_scalar_ramp(self, oracle, mpgdec_run):
-        ramp = oracle.ramp_for(370.0)
-        grid = DEFAULT_VF_CURVE.grid(7)
-        batch = oracle.platform.evaluate_batch(mpgdec_run, grid)
-        fits = ramp.application_fit_batch(batch)
-        for i, op in enumerate(grid):
-            scalar = ramp.application_reliability(
-                oracle.platform.evaluate(mpgdec_run, op)
-            ).total_fit
-            assert fits[i] == pytest.approx(scalar, rel=RTOL)
+    def test_dvs_grid_matches_reference(self, golden, oracle, test_cache):
+        self._check("dvs_grid", golden, oracle, test_cache)
+
+    def test_throttled_config_matches_reference(self, golden, oracle, test_cache):
+        self._check("throttled", golden, oracle, test_cache)
+
+    def test_mixed_schedules_match_reference(self, golden, oracle, test_cache):
+        self._check("mixed", golden, oracle, test_cache)
+
+    def test_batched_fit_matches_scalar_ramp(self, oracle, test_cache):
+        ramp = oracle.ramp_for(FIT_T_QUAL_K)
+        order = [(m.name, n) for m in ramp.mechanisms for n in STRUCTURE_NAMES]
+        for name in CASES:
+            run, candidates = case_inputs(name, test_cache)
+            batch = oracle.platform.evaluate_batch(run, candidates)
+            fits = ramp.application_fit_batch(batch)
+            fields = ramp.application_fit_fields_batch(batch)
+            for i in range(batch.n_candidates):
+                scalar = ramp.application_reliability(batch.evaluation(i))
+                assert scalar.total_fit == fits[i]
+                assert list(scalar.account.entries) == order
+                assert list(scalar.account.entries.values()) == fields[i].ravel().tolist()
 
     def test_wrappers_are_single_row_views(self, platform, twolf_run):
         op = DEFAULT_VF_CURVE.nominal
@@ -156,11 +167,8 @@ class TestBatchedScalarEquivalence:
             )
         )
         batch = platform.evaluate_batch(mpgdec_run, schedules)
-        for i, schedule in enumerate(schedules):
-            scalar = platform._evaluate_mixed_reference(
-                mpgdec_run, list(schedule)
-            )
-            assert _max_discrepancy(scalar, batch.evaluation(i)) < 1e-9
+        assert batch.salvage is None
+        assert_converged_residuals(platform, batch)
 
 
 class TestConvergenceMasking:
@@ -179,11 +187,6 @@ class TestConvergenceMasking:
                 mpgdec_run, grid, max_iters=1, salvage=False
             )
 
-    def test_tolerance_matches_scalar_path(self):
-        from repro.harness import platform as platform_module
-
-        assert platform_module._TEMP_TOLERANCE_K == TEMP_TOLERANCE_K
-
 
 class TestCrashPaths:
     def test_zero_phase_run_raises_value_error(self, platform, mpgdec_run):
@@ -197,7 +200,7 @@ class TestCrashPaths:
         with pytest.raises(ValueError, match="no phases"):
             platform.evaluate_mixed(empty, [])
         with pytest.raises(ValueError, match="no phases"):
-            platform._evaluate_mixed_reference(empty, [])
+            platform.evaluate_batch(empty, [DEFAULT_VF_CURVE.nominal])
 
     def test_schedule_length_mismatch_raises(self, platform, mpgdec_run):
         with pytest.raises(ValueError, match="one operating point per"):

@@ -8,6 +8,7 @@ model.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from repro.core.failure import (
     ThermalCycling,
     TimeDependentDielectricBreakdown,
 )
-from repro.core.fit import FitAccount
+from repro.core.fit import FitAccount, time_averaged_fit
 from repro.core.qualification import QualificationPoint, calibrate
 from repro.cpu.analytical import FrequencyScalingModel
 from repro.cpu.branch import BimodalAgreePredictor
@@ -56,10 +57,10 @@ class TestFitAlgebraProperties:
     )
     def test_time_average_between_extremes(self, a, b, w):
         lo, hi = sorted((a, b))
-        acc_a = FitAccount({("EM", "x"): a})
-        acc_b = FitAccount({("EM", "x"): b})
-        merged = FitAccount.weighted_average([(acc_a, w), (acc_b, 1.0 - w)])
-        assert lo - 1e-9 <= merged.entries[("EM", "x")] <= hi + 1e-9
+        merged = time_averaged_fit(
+            np.array([[[a], [b]]]), np.array([[w, 1.0 - w]])
+        )[0, 0]
+        assert lo - 1e-9 <= merged <= hi + 1e-9
 
 
 class TestFailureModelProperties:

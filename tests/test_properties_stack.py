@@ -26,11 +26,18 @@ from repro.power.model import PowerModel
 from repro.thermal.floorplan import build_default_floorplan
 from repro.thermal.rc_network import ThermalRCNetwork
 from repro.thermal.solver import SteadyStateSolver
+from tests.conftest import power_breakdown
 
 _FLOORPLAN = build_default_floorplan()
 _NETWORK = ThermalRCNetwork(_FLOORPLAN)
 _SOLVER = SteadyStateSolver(_NETWORK)
 _POWER = PowerModel()
+
+
+def _breakdown(activity, op, temperature_k):
+    temps = {name: temperature_k for name in STRUCTURE_NAMES}
+    return power_breakdown(_POWER, activity, BASE_MICROARCH, op, temps)
+
 
 power_vectors = st.lists(
     st.floats(min_value=0.0, max_value=8.0),
@@ -91,9 +98,7 @@ class TestPowerProperties:
     @given(activities, st.floats(min_value=2.5e9, max_value=5.0e9))
     def test_power_positive_and_finite(self, acts, freq):
         op = DEFAULT_VF_CURVE.operating_point(freq)
-        b = _POWER.evaluate_uniform(
-            dict(zip(STRUCTURE_NAMES, acts)), BASE_MICROARCH, op, 360.0
-        )
+        b = _breakdown(dict(zip(STRUCTURE_NAMES, acts)), op, 360.0)
         assert 0.0 < b.total_w < 500.0
         assert math.isfinite(b.total_w)
 
@@ -101,13 +106,9 @@ class TestPowerProperties:
     @given(activities)
     def test_dynamic_power_monotone_in_activity(self, acts):
         op = DEFAULT_VF_CURVE.nominal
-        lo = _POWER.evaluate_uniform(
-            dict(zip(STRUCTURE_NAMES, acts)), BASE_MICROARCH, op, 360.0
-        )
+        lo = _breakdown(dict(zip(STRUCTURE_NAMES, acts)), op, 360.0)
         hi_acts = [min(1.0, a + 0.1) for a in acts]
-        hi = _POWER.evaluate_uniform(
-            dict(zip(STRUCTURE_NAMES, hi_acts)), BASE_MICROARCH, op, 360.0
-        )
+        hi = _breakdown(dict(zip(STRUCTURE_NAMES, hi_acts)), op, 360.0)
         assert hi.total_dynamic_w >= lo.total_dynamic_w - 1e-12
 
     @settings(deadline=None, max_examples=40)
@@ -115,8 +116,8 @@ class TestPowerProperties:
     def test_leakage_monotone_in_temperature(self, t, delta):
         op = DEFAULT_VF_CURVE.nominal
         acts = {name: 0.3 for name in STRUCTURE_NAMES}
-        cool = _POWER.evaluate_uniform(acts, BASE_MICROARCH, op, t)
-        hot = _POWER.evaluate_uniform(acts, BASE_MICROARCH, op, min(440.0, t + delta))
+        cool = _breakdown(acts, op, t)
+        hot = _breakdown(acts, op, min(440.0, t + delta))
         assert hot.total_leakage_w >= cool.total_leakage_w
 
 

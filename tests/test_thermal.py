@@ -1,13 +1,15 @@
 """Tests for the HotSpot-style thermal substrate."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.config.dvs import DEFAULT_VF_CURVE
 from repro.config.technology import STRUCTURE_NAMES
 from repro.constants import AMBIENT_TEMPERATURE_K
 from repro.errors import ThermalError
 from repro.thermal.floorplan import Block, Floorplan, build_default_floorplan
-from repro.thermal.heatsink import TwoPassThermalModel
 from repro.thermal.rc_network import ThermalParameters, ThermalRCNetwork
 from repro.thermal.solver import SteadyStateSolver, TransientSolver
 
@@ -30,6 +32,28 @@ def solver(network):
 def uniform_power(watts_total: float) -> dict[str, float]:
     per = watts_total / len(STRUCTURE_NAMES)
     return {name: per for name in STRUCTURE_NAMES}
+
+
+def twin_phase_run(run, instructions):
+    """A run whose phases all repeat ``run``'s first phase, with the
+    given instruction counts, so only the schedule tells them apart."""
+    stats = run.phases[0].stats
+    return SimpleNamespace(
+        profile=run.profile,
+        config=run.config,
+        phases=tuple(
+            SimpleNamespace(
+                phase=run.phases[0].phase,
+                stats=SimpleNamespace(
+                    cpi_core=stats.cpi_core,
+                    cpi_mem=stats.cpi_mem,
+                    instructions=n,
+                    activity=stats.activity,
+                ),
+            )
+            for n in instructions
+        ),
+    )
 
 
 class TestFloorplan:
@@ -128,9 +152,12 @@ class TestSteadyState:
         flow = (sink - AMBIENT_TEMPERATURE_K) / network.params.r_convection_k_per_w
         assert flow == pytest.approx(30.0, rel=1e-6)
 
-    def test_fixed_sink_is_respected(self, solver, network):
-        temps = solver.solve_with_fixed_sink(uniform_power(25.0), sink_temp_k=333.0)
-        assert all(t > 333.0 for t in temps.values())
+    def test_fixed_sink_is_respected(self, platform, mpgdec_run):
+        # Pass two pins the sink: every die block sits above it.
+        batch = platform.evaluate_batch(mpgdec_run, DEFAULT_VF_CURVE.grid(3))
+        assert (
+            batch.temperatures_k > batch.sink_temperature_k[:, None, None]
+        ).all()
 
     def test_unknown_block_power_rejected(self, network):
         with pytest.raises(ThermalError, match="unknown"):
@@ -175,35 +202,44 @@ class TestTransient:
             )
 
 
+SLOW = DEFAULT_VF_CURVE.operating_point(DEFAULT_VF_CURVE.f_min_hz)
+FAST = DEFAULT_VF_CURVE.operating_point(DEFAULT_VF_CURVE.f_max_hz)
+
+
 class TestTwoPassModel:
-    def test_sink_temperature_uses_average_power(self, network):
-        model = TwoPassThermalModel(network)
-        phases = [(uniform_power(10.0), 0.5), (uniform_power(30.0), 0.5)]
-        sink = model.sink_temperature(phases)
-        uniform_sink = model.sink_temperature([(uniform_power(20.0), 1.0)])
-        assert sink == pytest.approx(uniform_sink, rel=1e-9)
+    """The paper's two-pass heat-sink initialisation, as the batch
+    kernel runs it (pass one: sink from the time-weighted average
+    power; pass two: each phase with the sink pinned)."""
 
-    def test_phase_temperatures_differ_with_power(self, network):
-        model = TwoPassThermalModel(network)
-        phases = [(uniform_power(10.0), 0.5), (uniform_power(30.0), 0.5)]
-        cool, hot = model.phase_temperatures(phases)
-        for name in STRUCTURE_NAMES:
-            assert hot[name] > cool[name]
+    def test_sink_temperature_uses_average_power(self, platform, mpgdec_run, solver, network):
+        grid = DEFAULT_VF_CURVE.grid(5)
+        batch = platform.evaluate_batch(mpgdec_run, [(grid[0], grid[4], grid[2])])
+        totals = batch.dynamic_w[0] + batch.leakage_w[0]
+        average = (totals * batch.weights[0][:, None]).sum(axis=0)
+        full = solver.solve_full(dict(zip(STRUCTURE_NAMES, average)))
+        assert batch.sink_temperature_k[0] == pytest.approx(
+            full[network.sink_index], rel=1e-9
+        )
 
-    def test_weights_must_be_positive(self, network):
-        model = TwoPassThermalModel(network)
-        with pytest.raises(ThermalError):
-            model.average_power([])
-        with pytest.raises(ThermalError):
-            model.average_power([(uniform_power(10.0), 0.0)])
+    def test_phase_temperatures_differ_with_power(self, platform, mpgdec_run):
+        run = twin_phase_run(mpgdec_run, (1000, 1000))
+        slow, fast = SLOW, FAST
+        cool, hot = platform.evaluate_batch(run, [(slow, fast)]).temperatures_k[0]
+        assert (hot > cool).all()
 
-    def test_hot_phase_hotter_than_its_standalone_steady_state(self, network):
+    def test_weights_must_be_positive(self, platform, mpgdec_run):
+        run = twin_phase_run(mpgdec_run, (1000, 0))
+        with pytest.raises(ValueError, match="positive duration"):
+            platform.evaluate_batch(run, [DEFAULT_VF_CURVE.nominal])
+
+    def test_hot_phase_hotter_than_its_standalone_steady_state(self, platform, mpgdec_run):
         # The sink carries history: a hot phase measured around a cool
         # average sees a cooler sink than it would alone.
-        model = TwoPassThermalModel(network)
-        solver = SteadyStateSolver(network)
-        phases = [(uniform_power(5.0), 0.9), (uniform_power(40.0), 0.1)]
-        _, hot = model.phase_temperatures(phases)
-        alone = solver.solve(uniform_power(40.0))
-        for name in STRUCTURE_NAMES:
-            assert hot[name] < alone[name]
+        run = twin_phase_run(mpgdec_run, (9000, 1000))
+        slow, fast = SLOW, FAST
+        mixed, alone = platform.evaluate_batch(run, [(slow, fast), (fast, fast)]).temperatures_k
+        assert (mixed[1] < alone[1]).all()
+        assert (
+            platform.evaluate_batch(run, [(slow, fast)]).sink_temperature_k[0]
+            < platform.evaluate_batch(run, [fast]).sink_temperature_k[0]
+        )
